@@ -64,7 +64,7 @@ void print_tables() {
                "E11: crash-restart catch-up vs history length (4 procs, "
                "1000-key zipf 0.99, window 8, flush tick 1ms)");
   TextTable t({"history (updates)", "mode", "catchup entries",
-               "catchup keys", "sync rounds", "resident log (alive)",
+               "deltas in", "rounds", "resident log (alive)",
                "converged", "wall s"});
   SweepResult largest_gc;  // reused for E11b: the sweep already ran it
   for (std::size_t ops : {250u, 1'000u, 4'000u}) {
@@ -72,8 +72,8 @@ void print_tables() {
       SweepResult r = run_point(ops, gc);
       const StoreStats& joiner = r.out.store_stats[3];
       t.add(r.out.total_updates, gc ? "gc+snapshot" : "full-replay",
-            joiner.catchup_entries, joiner.catchup_keys,
-            joiner.sync_requests_sent, r.out.log_entries_resident,
+            joiner.ae_entries_installed, joiner.ae_snapshots_installed,
+            joiner.ae_rounds_started, r.out.log_entries_resident,
             r.out.converged ? "yes" : "NO", r.wall_seconds);
       if (gc) largest_gc = std::move(r);
     }
@@ -93,7 +93,7 @@ void print_tables() {
 }
 
 // Microbench: encoding one shard's snapshot (the donor-side cost of a
-// sync) at varying live-key counts.
+// repair round) at varying live-key counts.
 void BM_EncodeShardSnapshot(benchmark::State& state) {
   const auto n_keys = static_cast<std::size_t>(state.range(0));
   ReplayReplica<S>::Config rep_cfg;

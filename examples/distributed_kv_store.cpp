@@ -19,7 +19,8 @@
 // `--trace-out=kv.json` captures the whole scenario as a Chrome trace
 // (open in chrome://tracing or Perfetto: one process track per replica,
 // with the partition cut/heal, the crash-era drops, and the rejoin's
-// sync exchange on replica 1's own timeline). `--metrics-out=kv-m.json`
+// bootstrap anti-entropy round on replica 1's own timeline).
+// `--metrics-out=kv-m.json`
 // writes the metrics snapshot, where every silent loss shows up as an
 // explicit dropped_* counter.
 #include <algorithm>
@@ -172,11 +173,10 @@ int main(int argc, char** argv) {
   store[1] = std::make_unique<Store>(Reg{"<unset>"}, 1, net, config_for(1));
   (void)store[1]->request_sync(0);
   sync();
-  sync();  // one more tick: acks flow, the catch-up session retires
+  sync();  // one more tick: acks flow, the bootstrap round completes
   const StoreStats& rejoined = store[1]->stats();
-  std::cout << "replica 1 restarted: " << rejoined.snapshots_installed
-            << " shard snapshots, " << rejoined.catchup_keys
-            << " keys, " << rejoined.catchup_entries
+  std::cout << "replica 1 restarted: " << rejoined.ae_snapshots_installed
+            << " shard deltas, " << rejoined.ae_entries_installed
             << " suffix entries transferred; reads name="
             << read(1, "user:42/name") << " plan="
             << read(1, "user:42/plan") << '\n';

@@ -251,7 +251,7 @@ struct ScenarioShape {
   /// Corpus mutant wire name ("none" = clean store).
   std::string fault = "none";
   /// Guarantee a crash/restart in the schedule (recovery-path mutants
-  /// need a catch-up session to bite).
+  /// need a bootstrap round to bite).
   bool force_crash_restart = false;
   /// Cut into three groups instead of two (relay/echo mutants need a
   /// third party whose content must transit a representative).

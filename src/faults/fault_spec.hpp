@@ -37,13 +37,14 @@ enum class Fault : std::uint8_t {
   /// v2 "fixed" the comparator). The cluster no longer shares one
   /// total order, so any tie that decides a key's final value diverges.
   kLwwTieSkew,
-  /// GC floor advanced past an open catch-up session: the fold pause
-  /// that makes mid-sync stability rows untrustworthy is skipped, so a
-  /// guarding joiner folds over entries of streams it has not verified.
+  /// GC floor advanced past an open bootstrap round (the name predates
+  /// the merge of catch-up into anti-entropy): the fold pause that
+  /// keeps a rejoiner's mid-round stability rows out of the floor is
+  /// skipped, so it folds over entries of streams it has not verified.
   kGcDuringCatchupSession,
-  /// Snapshot install adopts the donor base but never replays the
-  /// unstable suffix, losing every entry that only the snapshot could
-  /// have delivered.
+  /// Delta install (every repair round, bootstrap rounds included)
+  /// adopts the donor base but never replays the unstable suffix,
+  /// losing every entry that only the delta could have delivered.
   kInstallSkipsSuffix,
   /// Echo suppression collapses provenance: any key whose *last*
   /// advance was installed from the requester is skipped in a delta,
@@ -55,9 +56,10 @@ enum class Fault : std::uint8_t {
   /// store omit everything it learned second-hand, so snapshot/AE
   /// relays never propagate past one hop.
   kInstallSkipsDirtyMark,
-  /// Stream coverage claims `last_seq` (the pre-partition FIFO
-  /// shortcut) instead of the proven prefix, and calls gapped streams
-  /// drained — a joiner then verifies streams whose hole entries
+  /// Stream coverage served with every delta claims `last_seq` (the
+  /// pre-partition FIFO shortcut) instead of the proven prefix, and
+  /// calls gapped streams drained — a bootstrapping joiner then
+  /// verifies, and an AE requester adopts, streams whose hole entries
   /// nobody ever shipped it.
   kCoverageClaimsLastSeq,
   /// Anti-entropy adopts the peer's coverage and stability rows from

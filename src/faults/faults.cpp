@@ -79,16 +79,16 @@ const std::vector<FaultInfo>& fault_corpus() {
        {3, 12, 14}},
       {Fault::kGcDuringCatchupSession,
        "gc_during_catchup_session",
-       "GC pauses while a catch-up session is open",
-       "the stability floor advances mid-sync, folding acks the joiner "
+       "GC pauses while a bootstrap round is open",
+       "the stability floor advances mid-round, folding acks the joiner "
        "adopted before verifying the streams behind them",
        /*wants_restart=*/true, /*wants_three_way=*/true,
        {10, 27, 71}},
       {Fault::kInstallSkipsSuffix,
        "install_skips_suffix",
-       "Snapshot install = base state + replay of the unstable suffix",
+       "Delta install = base state + replay of the unstable suffix",
        "install adopts the donor base but drops the suffix, losing every "
-       "entry only the snapshot could deliver",
+       "entry only the delta could deliver",
        /*wants_restart=*/true, /*wants_three_way=*/false,
        {6, 7, 9}},
       {Fault::kEchoSuppressThirdParty,

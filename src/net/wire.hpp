@@ -30,11 +30,11 @@
 //       20    4 CRC32 (IEEE) of this frame's payload bytes
 //       24      payload...
 //
-// One envelope = one message = `frag_count` frames. Snapshots (catch-up
-// and anti-entropy deltas) routinely exceed a UDP datagram, so the
-// frame carries fragmentation fields and the transport reassembles by
-// (sender, msg id). The CRC is per frame: a corrupted fragment is
-// dropped before it can poison a reassembly.
+// One envelope = one message = `frag_count` frames. Delta snapshots (a
+// rejoiner's bootstrap round above all) routinely exceed a UDP
+// datagram, so the frame carries fragmentation fields and the
+// transport reassembles by (sender, msg id). The CRC is per frame: a
+// corrupted fragment is dropped before it can poison a reassembly.
 #pragma once
 
 #include <algorithm>
@@ -242,8 +242,20 @@ struct ValueCodec<RegWrite<V>> {
 
 namespace detail {
 
-inline constexpr std::uint8_t kMaxKind =
-    static_cast<std::uint8_t>(EnvelopeKind::kAntiEntropyDelta);
+/// The kinds a store sends: kBatch and the anti-entropy pair. The
+/// retired kSyncRequest/kShardSnapshot bytes decode as invalid.
+[[nodiscard]] inline bool valid_kind(std::uint8_t kind) {
+  switch (static_cast<EnvelopeKind>(kind)) {
+    case EnvelopeKind::kBatch:
+    case EnvelopeKind::kAntiEntropyRequest:
+    case EnvelopeKind::kAntiEntropyDelta:
+      return true;
+    case EnvelopeKind::kSyncRequest:
+    case EnvelopeKind::kShardSnapshot:
+      break;
+  }
+  return false;
+}
 
 inline void put_u64_vec(const std::vector<std::uint64_t>& v, Writer* w) {
   w->u32(static_cast<std::uint32_t>(v.size()));
@@ -399,7 +411,7 @@ template <UqAdt A, typename Key>
   Reader r(data, len);
   std::uint8_t kind;
   if (!r.u8(&kind)) return fail("short read: kind");
-  if (kind > detail::kMaxKind) return fail("invalid envelope kind");
+  if (!detail::valid_kind(kind)) return fail("invalid envelope kind");
   out->kind = static_cast<EnvelopeKind>(kind);
   if (!r.u64(&out->epoch) || !r.u64(&out->seq) || !r.u64(&out->ack_clock)) {
     return fail("short read: envelope header");

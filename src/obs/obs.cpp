@@ -200,9 +200,6 @@ const char* trace_event_name(TraceEventKind kind) {
     case TraceEventKind::kApplyRemote: return "apply_remote";
     case TraceEventKind::kAckHeartbeat: return "ack_heartbeat";
     case TraceEventKind::kGcFold: return "gc_fold";
-    case TraceEventKind::kSyncRequest: return "sync_request";
-    case TraceEventKind::kSyncServe: return "sync_serve";
-    case TraceEventKind::kSnapshotInstall: return "snapshot_install";
     case TraceEventKind::kAeRequest: return "ae_request";
     case TraceEventKind::kAeServe: return "ae_serve";
     case TraceEventKind::kAeInstall: return "ae_install";
@@ -417,8 +414,6 @@ namespace {
 bool any_recovery(const std::vector<StoreStats>& per) {
   for (const StoreStats& s : per)
     if (s.gc_folded != 0 || s.gc_runs != 0 || s.acks_sent != 0 ||
-        s.sync_requests_sent != 0 || s.sync_requests_served != 0 ||
-        s.snapshots_installed != 0 || s.snapshots_served != 0 ||
         s.entries_dropped_crash != 0 || s.acks_dropped_crash != 0)
       return true;
   return false;
@@ -520,16 +515,6 @@ void fill_registry(MetricsRegistry& reg, const ProcessReport& proc) {
   c("gc_runs", s.gc_runs);
   c("gc_folded", s.gc_folded);
   c("acks_sent", s.acks_sent);
-  c("sync_requests_sent", s.sync_requests_sent);
-  c("sync_requests_served", s.sync_requests_served);
-  c("sync_retries", s.sync_retries);
-  c("syncs_completed", s.syncs_completed);
-  c("snapshots_served", s.snapshots_served);
-  c("snapshots_installed", s.snapshots_installed);
-  c("snapshot_entries_served", s.snapshot_entries_served);
-  c("snapshot_bytes_served", s.snapshot_bytes_served);
-  c("catchup_keys", s.catchup_keys);
-  c("catchup_entries", s.catchup_entries);
   c("snapshot_keys_served", s.snapshot_keys_served);
   c("snapshot_keys_skipped_delta", s.snapshot_keys_skipped_delta);
   c("stream_gaps_detected", s.stream_gaps_detected);

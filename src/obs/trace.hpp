@@ -4,7 +4,7 @@
 // track of a process, tracks 1..W its worker threads — and every hook
 // in the store is a single `record()` call: read the clock, bump the
 // ring head, write one POD slot. The ring is the overwriting cousin of
-// `util/spsc_ring.hpp`: same power-of-two indexing and cache-aligned
+// `util/mpsc_ring.hpp`: same power-of-two indexing and cache-aligned
 // head counter, but instead of back-pressure a full ring silently
 // overwrites its oldest slot and counts the loss. Tracing must never
 // block a worker; dropping the oldest history is the correct failure
@@ -44,15 +44,11 @@ enum class TraceEventKind : std::uint8_t {
   kApplyRemote,    // a shard engine applies a remote entry
   kAckHeartbeat,   // stability ack broadcast
   kGcFold,         // span: stability fold / log GC sweep
-  // Recovery.
-  kSyncRequest,    // restarted process asks a peer for state
-  kSyncServe,      // donor serves a sync request
-  kSnapshotInstall,  // recovering process installs one shard snapshot
-  // Anti-entropy.
-  kAeRequest,      // pull request sent to a peer
+  // Repair (anti-entropy rounds, a rejoiner's bootstrap round included).
+  kAeRequest,      // round opened: pull request sent to a peer
   kAeServe,        // peer serves a delta
-  kAeInstall,      // one anti-entropy shard delta installed
-  kAeAdopt,        // a full anti-entropy round completed
+  kAeInstall,      // one shard delta installed
+  kAeAdopt,        // a round completed
   // Partitions (recorded by SimNetwork).
   kPartitionCut,   // drop-mode partition imposed
   kPartitionDrop,  // a message was dropped at a partition boundary

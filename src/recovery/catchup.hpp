@@ -1,27 +1,28 @@
-// Catch-up: snapshot codec + the joiner's sync session state machine.
+// Catch-up: the snapshot codec and the rejoiner's stream proof.
 //
-// The protocol (driven by StoreCore):
+// A restarted (or late-joining) store catches up through the one repair
+// protocol, as a *bootstrap* anti-entropy round (StoreCore::request_sync):
 //
-//   joiner                         donor
-//     | -- SyncRequest (p2p) -------> |   collect_garbage(), then for
-//     |                               |   each shard encode base+suffix
-//     | <-- ShardSnapshot × shards -- |   (p2p, one message per shard)
-//     |  install_base + replay suffix |
-//     |  adopt donor rows/clock       |
-//     |  guard live streams ........  |   (resume-live-delivery check)
+//   joiner                              donor
+//     | -- AntiEntropyRequest (p2p) ------> |   collect_garbage(), then
+//     |                                     |   per shard encode
+//     | <-- AntiEntropyDelta × shards ----- |   base + suffix (p2p)
+//     |  install_base + replay suffix       |
+//     |  re-base clock, adopt donor rows    |
+//     |  prove live streams ..............  |   (prove_stream below)
 //
-// Live delivery never pauses: envelopes arriving during the sync are
+// Live delivery never pauses: envelopes arriving during the round are
 // applied immediately (per-key logs are set-unions, order-insensitive)
-// and whatever the snapshot already covered is absorbed as duplicates.
+// and whatever the deltas already covered is absorbed as duplicates.
 // The delicate part is the opposite direction — an envelope broadcast
 // while the joiner was down is *dropped* at the joiner, and may still be
 // in flight towards the donor when it serves, so neither party holds it.
-// The session therefore guards every sender's stream: under FIFO links
+// The round therefore proves every sender's stream: under FIFO links
 // the donor's coverage (epoch, seq) and the seq of the first envelope
 // the joiner receives live decide exactly whether the prefix was covered
-// or a gap exists, and a gap triggers a re-sync (the missing envelopes
+// or a gap exists, and a gap re-issues the round (the missing envelopes
 // reach the donor eventually — reliable broadcast — so retries
-// terminate). Once every stream is verified the session retires and the
+// terminate). Once every stream is proven the round completes and the
 // replica is provably caught up in O(live state + unstable suffix).
 #pragma once
 
@@ -140,7 +141,7 @@ class SeqCoverage {
   std::vector<std::pair<std::uint64_t, std::uint64_t>> segs_;
 };
 
-// ----- sync session ---------------------------------------------------
+// ----- bootstrap stream proof -----------------------------------------
 
 /// What the joiner has observed of one sender's live stream since it
 /// (re)started: the incarnation and the seq of its first envelope.
@@ -150,65 +151,17 @@ struct PeerStreamView {
   std::uint64_t first_seq = 0;
 };
 
-/// The joiner's side of one catch-up: which shards have been installed,
-/// the donor's stream coverage, and which live streams are verified
-/// gap-free. Untemplated — it only sees bookkeeping, never payloads.
-class CatchupSession {
- public:
-  /// Opens a new sync round (the first call, and every retry). A round
-  /// expects one full batch of shard snapshots; snapshots from earlier
-  /// rounds still install their data but no longer satisfy the session,
-  /// so it cannot retire on a stale batch and let GC fold ahead of the
-  /// snapshots still in flight. Returns the new round token (echoed by
-  /// the donor on every snapshot of the batch).
-  std::uint64_t begin(ProcessId donor, std::size_t n_shards,
-                      std::size_t n_processes);
-  void abandon();
-
-  [[nodiscard]] bool active() const { return active_; }
-  /// Still missing at least one ShardSnapshot of the current round.
-  [[nodiscard]] bool awaiting() const { return awaiting_; }
-  [[nodiscard]] ProcessId donor() const { return donor_; }
-  [[nodiscard]] std::uint64_t round() const { return round_; }
-
-  /// Returns true if this shard index was not installed before.
-  bool note_shard_installed(std::size_t shard_index);
-  /// Folds a snapshot's coverage vector in (newest epoch/seq wins).
-  void merge_coverage(const std::vector<StreamCoverage>& coverage);
-  /// Re-checks every unverified stream against the coverage; returns
-  /// true when a gap was found and the caller must request a re-sync.
-  bool reevaluate(ProcessId self, const std::vector<PeerStreamView>& peers);
-  /// Retires the session (returns true) once all shards are installed
-  /// and every stream is verified.
-  bool try_retire();
-  /// Whether `q`'s stream has been proven gap-free this session.
-  [[nodiscard]] bool verified(ProcessId q) const {
-    return q < verified_.size() && verified_[q];
-  }
-
-  /// The merged donor coverage of the session (what the installed
-  /// snapshots provably cover of each sender's stream). Read at retire
-  /// time to seed the store's per-sender SeqCoverage — the proof that
-  /// the pre-join prefix of every stream needs no anti-entropy.
-  [[nodiscard]] const std::vector<StreamCoverage>& coverage() const {
-    return coverage_;
-  }
-
-  /// Retry pacing: progress() is bumped by installs; a flush tick where
-  /// the session is active but progress stalled re-requests the sync.
-  [[nodiscard]] std::uint64_t progress() const { return progress_; }
-  [[nodiscard]] bool stalled_since(std::uint64_t progress_mark) const;
-
- private:
-  bool active_ = false;
-  bool awaiting_ = false;
-  std::uint64_t round_ = 0;
-  ProcessId donor_ = 0;
-  std::vector<bool> installed_;
-  std::size_t installed_count_ = 0;
-  std::vector<StreamCoverage> coverage_;
-  std::vector<bool> verified_;
-  std::uint64_t progress_ = 0;
+enum class StreamProof : std::uint8_t {
+  kUnproven,  ///< not yet decidable: keep guarding
+  kVerified,  ///< the donor's deltas covered everything live delivery missed
+  kGap,       ///< envelopes neither party holds yet: re-issue the round
 };
+
+/// Decides whether a bootstrapping store holds sender q's whole stream:
+/// `live` is what arrived here directly, `donor` the coverage the
+/// round's deltas carried for q. The caller verifies its own pid
+/// without asking (its old incarnation drained before the restart).
+[[nodiscard]] StreamProof prove_stream(const PeerStreamView& live,
+                                       const StreamCoverage& donor);
 
 }  // namespace ucw

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "recovery/catchup.hpp"
-#include "util/assert.hpp"
 
 namespace ucw {
 
@@ -106,134 +105,44 @@ void SeqCoverage::add_prefix(std::uint64_t hi) {
 
 void SeqCoverage::reset() { segs_.clear(); }
 
-// ----- CatchupSession -------------------------------------------------
+// ----- prove_stream ---------------------------------------------------
 
-std::uint64_t CatchupSession::begin(ProcessId donor, std::size_t n_shards,
-                                    std::size_t n_processes) {
-  donor_ = donor;
-  active_ = true;
-  awaiting_ = true;
-  ++round_;
-  installed_.assign(n_shards, false);
-  installed_count_ = 0;
-  coverage_.assign(n_processes, StreamCoverage{});
-  verified_.assign(n_processes, false);
-  ++progress_;
-  return round_;
-}
-
-void CatchupSession::abandon() {
-  active_ = false;
-  awaiting_ = false;
-}
-
-bool CatchupSession::note_shard_installed(std::size_t shard_index) {
-  if (!active_ || shard_index >= installed_.size()) return false;
-  ++progress_;
-  if (installed_[shard_index]) return false;
-  installed_[shard_index] = true;
-  ++installed_count_;
-  if (installed_count_ == installed_.size()) awaiting_ = false;
-  return true;
-}
-
-void CatchupSession::merge_coverage(
-    const std::vector<StreamCoverage>& coverage) {
-  if (!active_) return;
-  UCW_CHECK(coverage.size() == coverage_.size());
-  for (std::size_t q = 0; q < coverage.size(); ++q) {
-    const StreamCoverage& c = coverage[q];
-    StreamCoverage& mine = coverage_[q];
-    if (!c.any) {
-      mine.drained = mine.drained || c.drained;
-      continue;
-    }
-    if (!mine.any || c.epoch > mine.epoch ||
-        (c.epoch == mine.epoch && c.seq > mine.seq)) {
-      const bool drained = mine.drained || c.drained;
-      mine = c;
-      mine.drained = drained;
-    } else {
-      mine.drained = mine.drained || c.drained;
-    }
+StreamProof prove_stream(const PeerStreamView& v, const StreamCoverage& c) {
+  if (!v.any) {
+    // Nothing received live from q yet. If its stream was settled at
+    // the donor's serve (crashed, or alive-but-silent, with nothing
+    // in flight) the delta holds all of it and later sends reach
+    // us directly — nothing to guard. Otherwise keep guarding: an
+    // envelope of q's could have been dropped here while down and
+    // still be in flight towards the donor; the stall retry
+    // re-serves with refreshed coverage until this resolves.
+    return c.drained ? StreamProof::kVerified : StreamProof::kUnproven;
   }
-}
-
-bool CatchupSession::reevaluate(ProcessId self,
-                                const std::vector<PeerStreamView>& peers) {
-  if (!active_) return false;
-  UCW_CHECK(peers.size() == verified_.size());
-  const std::size_t verified_before =
-      static_cast<std::size_t>(std::count(verified_.begin(),
-                                          verified_.end(), true));
-  bool gap = false;
-  for (ProcessId q = 0; q < verified_.size(); ++q) {
-    if (verified_[q]) continue;
-    if (q == self) {
-      // Our own old incarnation's stream: the network model only allows
-      // a restart once everything that incarnation sent has drained, so
-      // the donor held its complete stream before serving.
-      verified_[q] = true;
-      continue;
-    }
-    const PeerStreamView& v = peers[q];
-    const StreamCoverage& c = coverage_[q];
-    if (!v.any) {
-      // Nothing received live from q yet. If its stream was settled at
-      // the donor's serve (crashed, or alive-but-silent, with nothing
-      // in flight) the snapshot holds all of it and later sends reach
-      // us directly — nothing to guard. Otherwise keep guarding: an
-      // envelope of q's could have been dropped here while down and
-      // still be in flight towards the donor; the stall retry
-      // re-serves with refreshed coverage until this resolves.
-      if (c.drained) verified_[q] = true;
-      continue;
-    }
-    if (v.first_seq == 0 &&
-        (v.epoch == 0 || (c.any && c.epoch >= v.epoch))) {
-      // We saw this epoch from its very beginning — and, for a restarted
-      // sender, the donor provably holds the prior epochs: it received
-      // an epoch >= v.epoch envelope from q, and per-link FIFO means
-      // every earlier (older-epoch) q message had been delivered to it
-      // first. Epoch 0 alone needs no such proof (nothing precedes it).
-      // Without the qualifier, a crashed sender's pre-restart tail that
-      // was dropped here and had not yet reached the donor at serve
-      // time would be silently lost.
-      verified_[q] = true;
-    } else if (c.any && c.epoch > v.epoch) {
-      // Our live stream from q is a stale older incarnation; FIFO means
-      // the donor received all of it before it ever saw the newer epoch,
-      // so the snapshot covered it.
-      verified_[q] = true;
-    } else if (c.any && c.epoch == v.epoch && c.seq + 1 >= v.first_seq) {
-      verified_[q] = true;  // donor covered [0, first_seq) of this epoch
-    } else {
-      // Envelopes [donor coverage, first_seq) of q's stream were dropped
-      // while this process was down and had not reached the donor when
-      // it served. Reliable broadcast will deliver them to the donor
-      // eventually — re-sync.
-      gap = true;
-    }
+  if (v.first_seq == 0 && (v.epoch == 0 || (c.any && c.epoch >= v.epoch))) {
+    // We saw this epoch from its very beginning — and, for a restarted
+    // sender, the donor provably holds the prior epochs: it received
+    // an epoch >= v.epoch envelope from q, and per-link FIFO means
+    // every earlier (older-epoch) q message had been delivered to it
+    // first. Epoch 0 alone needs no such proof (nothing precedes it).
+    // Without the qualifier, a crashed sender's pre-restart tail that
+    // was dropped here and had not yet reached the donor at serve
+    // time would be silently lost.
+    return StreamProof::kVerified;
   }
-  // Verifications are progress too: the stall clock must not fire a
-  // retry while streams are actively proving themselves.
-  const std::size_t verified_now = static_cast<std::size_t>(
-      std::count(verified_.begin(), verified_.end(), true));
-  if (verified_now != verified_before) ++progress_;
-  return gap;
-}
-
-bool CatchupSession::try_retire() {
-  if (!active_ || awaiting_) return false;
-  for (const bool v : verified_) {
-    if (!v) return false;
+  if (c.any && c.epoch > v.epoch) {
+    // Our live stream from q is a stale older incarnation; FIFO means
+    // the donor received all of it before it ever saw the newer epoch,
+    // so the delta covered it.
+    return StreamProof::kVerified;
   }
-  active_ = false;
-  return true;
-}
-
-bool CatchupSession::stalled_since(std::uint64_t progress_mark) const {
-  return active_ && progress_ == progress_mark;
+  if (c.any && c.epoch == v.epoch && c.seq + 1 >= v.first_seq) {
+    return StreamProof::kVerified;  // donor covered [0, first_seq)
+  }
+  // Envelopes [donor coverage, first_seq) of q's stream were dropped
+  // while this process was down and had not reached the donor when it
+  // served. Reliable broadcast will deliver them to the donor
+  // eventually — re-issue the round.
+  return StreamProof::kGap;
 }
 
 }  // namespace ucw

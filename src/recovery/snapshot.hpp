@@ -64,7 +64,7 @@ struct KeySnapshot {
 /// the (possibly still alive) sender broadcasts later reaches the
 /// now-live joiner directly. For a crashed sender this is the classic
 /// failure-detector verdict; for a live-but-silent one it is what lets
-/// a catch-up session retire without waiting for it to speak.
+/// a bootstrap round complete without waiting for it to speak.
 struct StreamCoverage {
   bool any = false;  ///< false: nothing received from this sender yet
   std::uint64_t epoch = 0;
@@ -72,7 +72,7 @@ struct StreamCoverage {
   bool drained = false;
 };
 
-/// One shard's snapshot message (a catch-up ships shard_count of them).
+/// One shard's delta snapshot (a repair round ships shard_count of them).
 ///
 /// Incremental encoding: every shard engine stamps each of its keys with
 /// a monotone *advance marker* (bumped whenever the key's log gains an
@@ -83,9 +83,9 @@ struct StreamCoverage {
 /// and is a complete statement relative to a receiver that already holds
 /// the donor's shard state as of `delta_since` — which the receiver
 /// proves by having echoed that marker (received with an earlier
-/// install) in its request. Crash-catch-up retries and heal-time
-/// anti-entropy both ride this: a second round re-ships only what moved
-/// since the first, not every shard in full.
+/// install) in its request. Every repair round after the first — a
+/// bootstrap retry or a heal-time exchange — re-ships only what moved
+/// since, not every shard in full.
 template <UqAdt A, typename Key = std::string>
 struct ShardSnapshot {
   std::size_t shard_index = 0;

@@ -4,10 +4,11 @@
 // envelope network + N SimUcStores, drives a zipfian keyed workload with
 // per-process think times, ticks a periodic flush (the "per-tick batch
 // envelope" — which is also the recovery tick: stability acks, GC folds,
-// catch-up retries), optionally injects crashes, *restarts* (the crashed
+// repair retries), optionally injects crashes, *restarts* (the crashed
 // process rejoins with empty state and catches up from a live donor via
-// snapshot shipping), and duplicate delivery, quiesces (final flush +
-// drain, with extra rounds so multi-round catch-up retries settle), and
+// a bootstrap anti-entropy round), and duplicate delivery, quiesces
+// (final flush + drain, with extra rounds so multi-round bootstrap
+// retries settle), and
 // checks per-key convergence across the surviving stores — including the
 // rejoined ones, which must agree with replicas that never crashed. The
 // store benchmarks, the property tests, and the reworked KV example all
@@ -359,8 +360,8 @@ template <UqAdt A, typename GenFn>
         scheduler.after(ae_delay, [&stores, p, rep] {
           // One-directional pull: every process initiates its own, so
           // reciprocation would only double the traffic. Refused (and
-          // skipped) while p is mid-catch-up — the session's own retry
-          // machinery recovers it across the heal.
+          // skipped) while p's bootstrap round is open — that round's
+          // own retries recover it across the heal.
           (void)stores[p]->anti_entropy_round(rep, /*reciprocate=*/false);
         });
       }
@@ -410,14 +411,14 @@ template <UqAdt A, typename GenFn>
     bounded_run();
   }
   // Quiescence: ship any trailing partial batches, then drain. Enough
-  // rounds that even a *stalled* catch-up (lost request — e.g. the
-  // donor crashed right after the restart) reaches its retry: the stall
-  // fires after sync_patience_ticks housekeeping ticks, and the
+  // rounds that even a *stalled* bootstrap round (lost request — e.g.
+  // the donor crashed right after the restart) reaches its retry: the
+  // stall fires after ae_patience_ticks housekeeping ticks, and the
   // request/serve/install exchange needs a few more. A gap retry needs
   // only one round (by now the donor holds everything). Extra rounds
   // are cheap no-ops.
   const int quiesce_rounds =
-      static_cast<int>(cfg.store.sync_patience_ticks) + 4;
+      static_cast<int>(cfg.store.ae_patience_ticks) + 4;
   for (int round = 0; round < quiesce_rounds; ++round) {
     for (auto& s : stores) (void)s->flush();
     bounded_run();

@@ -17,14 +17,14 @@
 // envelope carries (epoch, seq) — the sender's incarnation and position
 // in its own stream — and, when stability tracking is on, `ack_clock`,
 // the sender's store clock: the envelope-level ack that feeds the
-// store-level stability tracker. Four point-to-point kinds implement
-// catch-up and anti-entropy: kSyncRequest asks a donor for the store's
-// state, kShardSnapshot carries one shard's compacted base + unstable
-// suffix (recovery/snapshot.hpp), and the kAntiEntropy pair runs the
-// same exchange donor↔donor after a partition heals (request carries
-// the caller's per-shard delta markers; the delta reply ships only the
-// keys that advanced since). Only kBatch envelopes are part of the seq
-// stream; the p2p kinds live outside it.
+// store-level stability tracker. Two point-to-point kinds implement the
+// one repair protocol: kAntiEntropyRequest carries the caller's
+// per-shard delta markers, and each kAntiEntropyDelta reply carries one
+// shard's compacted base + unstable suffix (recovery/snapshot.hpp) for
+// the keys that advanced since. A partition heal and a crash-restart
+// rejoin (a bootstrap round, whose rejoiner holds no markers yet) are
+// the same exchange. Only kBatch envelopes are part of the seq stream;
+// the p2p kinds live outside it.
 #pragma once
 
 #include <cstdint>
@@ -47,14 +47,17 @@ struct KeyedUpdate {
 
 enum class EnvelopeKind : std::uint8_t {
   kBatch,               ///< broadcast: keyed updates + piggybacked ack
-  kSyncRequest,         ///< p2p: "ship me your snapshots"
-  kShardSnapshot,       ///< p2p: one shard's compacted state
+  /// Retired (catch-up now runs as a bootstrap anti-entropy round): the
+  /// store never sends these two and wire::decode_envelope rejects them.
+  /// Declared only to keep the numbering and existing `switch`es.
+  kSyncRequest,
+  kShardSnapshot,
   kAntiEntropyRequest,  ///< p2p: "ship me what moved since my markers"
-  kAntiEntropyDelta,    ///< p2p: one shard's delta, heal-time exchange
+  kAntiEntropyDelta,    ///< p2p: one shard's delta snapshot
 };
 
 /// A batch of keyed updates shipped as a single reliable broadcast —
-/// and, via `kind`, the carrier of the catch-up protocol's p2p messages.
+/// and, via `kind`, the carrier of the repair protocol's p2p messages.
 /// `(epoch, seq)` positions a kBatch envelope in its sender's stream:
 /// correctness of *delivery* never depends on them (the per-key logs
 /// absorb replays), but under FIFO links they are what lets a catching-up
@@ -69,14 +72,15 @@ struct BatchEnvelope {
   /// empty-entries kBatch envelope with a nonzero ack_clock is an ack
   /// heartbeat (sent so silent processes do not pin the GC floor).
   LogicalTime ack_clock = 0;
-  /// kShardSnapshot / kAntiEntropyDelta payload. Shared: envelope
-  /// copies (one per receiver in a broadcast transport, plus scheduler
-  /// captures) must not deep-copy a whole shard's state.
+  /// kAntiEntropyDelta payload. Shared: envelope copies (one per
+  /// receiver in a broadcast transport, plus scheduler captures) must
+  /// not deep-copy a whole shard's state.
   std::shared_ptr<const ShardSnapshot<A, Key>> snapshot;
-  /// kSyncRequest / kAntiEntropyRequest: per-shard delta markers —
-  /// "shard i of you I hold as of your marker sync_markers[i]" — valid
-  /// for the donor incarnation `sync_markers_epoch`. Empty or
-  /// stale-epoch markers make the donor serve full snapshots.
+  /// kAntiEntropyRequest: per-shard delta markers — "shard i of you I
+  /// hold as of your marker sync_markers[i]" — valid for the donor
+  /// incarnation `sync_markers_epoch`. Empty, all-zero (a fresh
+  /// joiner's) or stale-epoch markers make the donor serve full
+  /// snapshots.
   std::vector<std::uint64_t> sync_markers;
   std::uint64_t sync_markers_epoch = 0;
   /// kAntiEntropyRequest: also serve yourself from me (one call heals
@@ -87,7 +91,8 @@ struct BatchEnvelope {
   /// below (raised only by first-hand, gap-gated acks; see
   /// recovery/stability.hpp). A donor may skip any suffix entry with
   /// stamp.clock <= ae_floors[stamp.pid]: the requester already holds
-  /// it live. Empty when the requester runs without stability tracking.
+  /// it live. Empty when the requester runs without stability tracking,
+  /// and on a bootstrap round.
   std::vector<LogicalTime> ae_floors;
 };
 

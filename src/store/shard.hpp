@@ -71,14 +71,8 @@ struct StoreConfig {
   /// but a gc=false store sends no heartbeats — if it also goes quiet,
   /// it pins the cluster floor exactly like any silent process.
   bool gc = false;
-  /// Flush ticks a catch-up session waits without progress before
-  /// re-requesting the sync. Must exceed the request → last-snapshot
-  /// round trip in ticks, or the joiner opens a new round before the
-  /// previous batch can land and spins; 1 retries on the very next tick
-  /// (unit tests with drained networks).
-  std::size_t sync_patience_ticks = 6;
   /// Incremental snapshot shipping: when a requester echoes the delta
-  /// markers it installed before (catch-up retry, anti-entropy round),
+  /// markers it installed before (any repair round after the first),
   /// serve only the keys whose log advanced since — instead of every
   /// shard in full, every round. Off forces full snapshots always (the
   /// control arm of the delta benches/tests). Never changes *what* the
@@ -94,9 +88,12 @@ struct StoreConfig {
   /// leaking as permanent divergence. Off = anti-entropy only when the
   /// application calls anti_entropy_round() itself.
   bool auto_anti_entropy = true;
-  /// Like sync_patience_ticks: must exceed the request → last-delta
-  /// round trip in flush ticks, or rounds are superseded before they
-  /// can complete.
+  /// Flush ticks before a repair round is re-issued: since it opened
+  /// (anti-entropy), or since its last progress (a bootstrap round,
+  /// which then rotates to the next live donor). Must exceed the
+  /// request → last-delta round trip in ticks, or rounds are superseded
+  /// before they can complete; 1 retries on the very next tick (unit
+  /// tests with drained networks).
   std::size_t ae_patience_ticks = 6;
   /// Opt-in core affinity: worker w of a pooled ThreadUcStore pins
   /// itself to core w mod hardware_concurrency() on startup (Linux
@@ -160,7 +157,7 @@ struct ShardStats {
   std::uint64_t log_entries = 0;     ///< resident log length, summed
   std::uint64_t gc_folded = 0;       ///< log entries folded by GC
   std::uint64_t snapshots_exported = 0;  ///< served to catching-up peers
-  std::uint64_t snapshots_installed = 0; ///< installed during catch-up
+  std::uint64_t snapshots_installed = 0; ///< delta snapshots installed
   std::size_t approx_bytes = 0;
   /// Read-view registry copy accounting (pooled stores only). Promotion
   /// publishes an immutable snapshot of the key→view registry map;
@@ -215,7 +212,7 @@ class StoreShard {
     for (auto& [k, r] : replicas_) fn(k, r);
   }
 
-  // Snapshot traffic accounting (bumped by the catch-up codec/installer).
+  // Snapshot traffic accounting (bumped by the delta codec/installer).
   void note_snapshot_exported() { ++snapshots_exported_; }
   void note_snapshot_installed() { ++snapshots_installed_; }
 

@@ -293,15 +293,14 @@ class ShardEngine {
   /// encode_snapshot would stamp).
   [[nodiscard]] std::uint64_t dirty_marker() const { return advance_marker_; }
 
-  /// Installs one key of a catch-up snapshot; returns suffix entries
-  /// replayed and reports via `floor_raised` whether the key's compacted
-  /// prefix actually grew (the transfer-volume stat). `donor` is the
-  /// provenance recorded on the dirty mark: installed knowledge dirties
-  /// the key here too — a later delta served *from* this store must
-  /// relay what it learned second-hand (that transitivity is what lets
-  /// one representative per partition side reconcile a whole split) —
-  /// but a delta back to the donor itself may skip it.
-  std::size_t install_key(const KeySnapshot<A, Key>& ks, bool* floor_raised,
+  /// Installs one key of a delta snapshot; returns suffix entries
+  /// replayed. `donor` is the provenance recorded on the dirty mark:
+  /// installed knowledge dirties the key here too — a later delta
+  /// served *from* this store must relay what it learned second-hand
+  /// (that transitivity is what lets one representative per partition
+  /// side reconcile a whole split) — but a delta back to the donor
+  /// itself may skip it.
+  std::size_t install_key(const KeySnapshot<A, Key>& ks,
                           ProcessId donor = kNoDonor) {
     auto& rep = shard_.replica(ks.key);
     const LogicalTime floor_before = rep.log().floor();
@@ -316,8 +315,7 @@ class ShardEngine {
     } else {
       replayed = install_key_snapshot(rep, ks);
     }
-    *floor_raised = rep.log().floor() > floor_before;
-    if (*floor_raised || rep.log().size() > log_before) {
+    if (rep.log().floor() > floor_before || rep.log().size() > log_before) {
       // FAULT kInstallSkipsDirtyMark: installed knowledge never joins
       // the dirty set, so deltas served from this store omit everything
       // it learned second-hand and relays stop at one hop.

@@ -12,8 +12,8 @@
 //     clocks);
 //   * the StoreStabilityTracker and the GC sweep driver (the floor is
 //     one number per store; engines only fold to it);
-//   * the catch-up session, per-sender stream views, and the (epoch,
-//     seq) envelope stream — seq is atomic so concurrent worker flushes
+//   * the repair rounds, per-sender stream views, and the (epoch, seq)
+//     envelope stream — seq is atomic so concurrent worker flushes
 //     still draw unique positions;
 //   * envelope assembly: a flush drains the pending buffers of a set of
 //     engines (all of them here; one worker's subset in a pool) into a
@@ -30,35 +30,46 @@
 //                         crashed process (unpinning the stability
 //                         floor) only once nothing of it is in flight;
 //   send(from,to,e) + epoch(pid)
-//                       — the catch-up protocol (request_sync /
-//                         ShardSnapshot / stream guarding), p2p + the
-//                         incarnation counter rejoin needs — and the
-//                         heal-time anti-entropy exchange built on it;
+//                       — the repair protocol (anti-entropy rounds,
+//                         including a rejoiner's bootstrap round): p2p
+//                         + the incarnation counter rejoin needs;
 //   same_partition(a,b) — topology knowledge: a donor will not claim a
 //                         currently-unreachable sender's stream is
 //                         settled (its envelopes may be being dropped,
 //                         not merely absent).
 //
-// Partitions: a drop-mode split discards cross-group envelopes, so each
-// receiver's view of a sender's (epoch, seq) stream becomes a set of
-// contiguous segments (SeqCoverage). The store tracks that per sender,
-// and three things key off it: (1) piggybacked acks from a *gapped*
-// stream are ignored — under drops, "I received an envelope with ack
-// clock t" no longer proves FIFO coverage of everything below t, and
-// folding to an over-claimed floor would silently diverge; (2) coverage
-// rows served to joiners claim only the proven prefix; (3) after heal,
-// anti_entropy_round(peer) exchanges per-shard delta markers and ships
-// only the keys that advanced since the last serve — on completion the
-// peers' coverage (and, when stability is on, their rows) are adopted,
-// which both repairs the gap bookkeeping and un-freezes the GC floor.
+// Repair: one protocol. A requester sends its per-shard delta markers,
+// the peer replies with one delta snapshot per shard (only the keys
+// that advanced since), and once the round's full batch is installed
+// the requester adopts the peer's stream coverage and stability rows.
+// A drop-mode partition and a crash-restart need the same thing — every
+// update held everywhere — so both use it:
+//
+//   * anti_entropy_round(peer) heals a gap. A split discards
+//     cross-group envelopes, so each receiver's view of a sender's
+//     (epoch, seq) stream becomes a set of contiguous segments
+//     (SeqCoverage). Three things key off it: (1) piggybacked acks from
+//     a *gapped* stream are ignored — under drops, "I received an
+//     envelope with ack clock t" no longer proves FIFO coverage of
+//     everything below t; (2) coverage rows served to requesters claim
+//     only the proven prefix; (3) a completed round adopts the peer's
+//     coverage, which both repairs the gap bookkeeping and un-freezes
+//     the GC floor.
+//   * request_sync(donor) is the same round with the `bootstrap` flag:
+//     a rejoiner with empty state. The flag adds only what is specific
+//     to a store that missed part of every stream while down — updates
+//     refused until the first install re-bases the clock, GC paused
+//     and serves refused while the round is open, completion gated on
+//     verifying every sender's live stream against the donor's
+//     coverage, and gap/stall retries (recovery/catchup.hpp).
 //
 // Recovery layering (src/recovery/): all per-key replicas stamp from the
 // one store clock, so a StoreStabilityTracker — one knowledge vector per
 // *process*, fed by envelope-level acks — yields a single stability
 // floor that the GC sweep pushes down into the engines on the flush
 // tick. The same compacted form (base + floor + unstable suffix) is what
-// ShardSnapshot ships to a rejoining replica, making catch-up
-// O(live state + unstable suffix) instead of O(history).
+// a delta snapshot ships, making a rejoin O(live state + unstable
+// suffix) instead of O(history).
 #pragma once
 
 #include <algorithm>
@@ -96,12 +107,6 @@ class StoreCore {
   using Shard = StoreShard<A, Key>;
   using Snapshot = ShardSnapshot<A, Key>;
 
-  enum class SyncState {
-    kLive,       ///< normal operation (never synced, or sync retired)
-    kSyncing,    ///< catch-up in progress: snapshots outstanding
-    kGuarding,   ///< snapshots installed; live streams not yet verified
-  };
-
   StoreCore(A adt, ProcessId pid, Net& net, StoreConfig config)
       : adt_(std::move(adt)),
         pid_(pid),
@@ -138,7 +143,7 @@ class StoreCore {
     // redelivery of a folded entry (at-least-once duplicates, or live
     // envelopes overlapping an installed snapshot), never a straggler.
     // Needed whenever a floor can rise above zero: GC folds, but also
-    // catch-up alone — a gc=false store syncing from a compacted donor
+    // repair alone — a gc=false store bootstrapping from a compacted donor
     // installs bases with positive floors, and an overlapping live
     // envelope must be absorbed, not treated as a protocol violation.
     rep_cfg.absorb_below_floor = config_.gc || kCatchupCapable;
@@ -229,7 +234,7 @@ class StoreCore {
     // stay available throughout; updates resume right after bootstrap.
     UCW_CHECK_MSG(!bootstrapping_,
                   "update() on a store still bootstrapping from a "
-                  "snapshot; wait for sync_state() to leave kSyncing");
+                  "snapshot; wait for bootstrapping() to clear");
     poll();
     const Stamp stamp = clock_.tick();
     if (obs_ && obs_->tracer && obs_->sampled(stamp.clock)) {
@@ -283,8 +288,8 @@ class StoreCore {
 
   /// Ships the pending batch, if any, then runs the recovery tick:
   /// re-size adaptive windows, piggyback/heartbeat the stability ack,
-  /// fold the stable prefix across the dirty engines, and retry a
-  /// stalled catch-up. Returns entries flushed (dropped-on-crash entries
+  /// fold the stable prefix across the dirty engines, and pace the
+  /// repair rounds. Returns entries flushed (dropped-on-crash entries
   /// are not "flushed"). Never waits on receivers — the cost is the
   /// per-peer enqueue. Owner thread; shadowed pooled.
   std::size_t flush() {
@@ -294,7 +299,6 @@ class StoreCore {
       maybe_send_ack(clock_.now());
       (void)collect_garbage();
     }
-    sync_housekeeping();
     ae_housekeeping();
     sample_convergence_obs(clock_.now());
     return flushed;
@@ -324,25 +328,26 @@ class StoreCore {
     return gc_sweep(floor, config_.gc_engines_per_sweep);
   }
 
-  // ----- recovery: catch-up protocol -----------------------------------
+  // ----- recovery: the repair protocol ---------------------------------
 
-  /// Asks `donor` to ship its snapshots (crash-restart or late join).
-  /// Returns false on transports without p2p + epochs (ThreadNetwork).
-  /// Owner thread.
+  /// Rejoin after a crash-restart (or a late join): opens a bootstrap
+  /// anti-entropy round toward `donor`. The donor serves it like any
+  /// round; what the `bootstrap` flag adds is requester-side (see the
+  /// header comment). Retries — a detected gap to the same donor, a
+  /// stall to the next live one — run on the flush tick. Returns false
+  /// on transports without p2p + epochs (ThreadNetwork). Owner thread.
   bool request_sync(ProcessId donor) {
     if constexpr (kCatchupCapable) {
       UCW_CHECK(donor != pid_ && donor < net_->size());
-      send_sync_request(donor);
-      // No snapshot yet → the clock is not re-based → no stamping.
-      bootstrapping_ = !any_snapshot_installed_;
+      open_round(donor, /*reciprocate=*/false, /*bootstrap=*/true);
+      // No install yet → the clock is not re-based → no stamping.
+      bootstrapping_ = !clock_rebased_;
       return true;
     } else {
       (void)donor;
       return false;
     }
   }
-
-  // ----- recovery: anti-entropy after a partition heals -----------------
 
   /// Heal-time reconciliation with `peer`: sends it this store's
   /// per-shard delta markers ("shard i of you I hold as of marker m_i");
@@ -356,47 +361,20 @@ class StoreCore {
   /// stream the peer can vouch for) and, when stability is on, its
   /// knowledge rows too — un-freezing the GC floor the partition pinned.
   ///
-  /// Returns false on transports without p2p + epochs, while a catch-up
-  /// session is open (the session's retry machinery owns recovery
-  /// then), or when either end is crashed. Unlike request_sync this
-  /// never pauses GC, never refuses updates, and has no retry loop: a
-  /// round whose messages are lost (re-partition mid-exchange) is
-  /// simply superseded by the next call. Owner thread.
+  /// Returns false on transports without p2p + epochs, while a
+  /// bootstrap round is open (its retries own recovery then), or when
+  /// either end is crashed. Unlike a bootstrap round this never pauses
+  /// GC and never refuses updates; a round whose messages are lost
+  /// (re-partition mid-exchange) is superseded by the next call or
+  /// re-issued by the flush tick. Owner thread.
   bool anti_entropy_round(ProcessId peer, bool reciprocate = true) {
     if constexpr (kCatchupCapable) {
       UCW_CHECK(peer != pid_ && peer < net_->size());
-      if (session_.active()) return false;
+      if (boot_) return false;
       if constexpr (kCrashAware) {
         if (net_->crashed(pid_) || net_->crashed(peer)) return false;
       }
-      ++stats_.ae_rounds_started;
-      if (obs_ && obs_->tracer) {
-        obs_->tracer->instant(0, obs::TraceEventKind::kAeRequest, peer,
-                              ae_round_counter_ + 1);
-      }
-      AeRound& r = ae_[peer];
-      r.active = true;
-      r.round = ++ae_round_counter_;
-      r.installed.assign(engines_.size(), false);
-      r.installed_count = 0;
-      r.sound = true;
-      r.ticks_active = 0;
-      Envelope req;
-      req.kind = EnvelopeKind::kAntiEntropyRequest;
-      req.epoch = epoch_;
-      req.seq = r.round;  // p2p kinds reuse seq as the round token
-      req.ae_reciprocate = reciprocate;
-      if (config_.incremental_snapshots) {
-        req.sync_markers = snap_markers_[peer];
-        req.sync_markers_epoch = snap_marker_epochs_[peer];
-      }
-      // Coverage summary on the wire: ship our stability rows so the
-      // donor can skip suffix entries we provably received live (rows
-      // are raised only by gap-gated first-hand acks, so "stamp.clock
-      // <= rows[origin]" really means "already held here" — even
-      // across drops, because a gapped stream stops raising its row).
-      if (stability_) req.ae_floors = stability_->rows();
-      net_->send(pid_, peer, req);
+      open_round(peer, reciprocate, /*bootstrap=*/false);
       return true;
     } else {
       (void)peer;
@@ -407,21 +385,19 @@ class StoreCore {
 
   /// Whether the sender `q`'s live envelope stream currently has a gap
   /// here (cross-partition drops, or a mid-stream join not yet verified
-  /// by catch-up). While gapped, q's piggybacked acks are ignored — see
-  /// the header comment. Owner thread.
+  /// by a bootstrap round). While gapped, q's piggybacked acks are
+  /// ignored — see the header comment. Owner thread.
   [[nodiscard]] bool stream_gapped(ProcessId q) const {
     return q < peers_.size() && peers_[q].gapped;
   }
 
-  /// Catch-up phase of this store (live / syncing / guarding). Owner
-  /// thread.
-  [[nodiscard]] SyncState sync_state() const {
-    if (!session_.active()) return SyncState::kLive;
-    return session_.awaiting() ? SyncState::kSyncing : SyncState::kGuarding;
-  }
-  /// True until the first snapshot re-bases the clock of a rejoining
-  /// store; update() is refused while this holds (reads stay
-  /// available). Owner thread.
+  /// Whether a bootstrap round is open: its delta batch is outstanding
+  /// or some sender's live stream is not yet verified. GC folds nothing
+  /// and repair requests go unserved meanwhile. Owner thread.
+  [[nodiscard]] bool bootstrap_open() const { return boot_.has_value(); }
+  /// True until the first install of a bootstrap round re-bases the
+  /// clock of a rejoining store; update() is refused while this holds
+  /// (reads stay available). Owner thread.
   [[nodiscard]] bool bootstrapping() const { return bootstrapping_; }
 
   // ----- keyspace introspection ----------------------------------------
@@ -509,6 +485,37 @@ class StoreCore {
       };
 
   enum class FlushCause { kWindowFull, kManual };
+
+  /// One sender's live stream as observed here since (re)start.
+  struct PeerStream {
+    bool any = false;
+    std::uint64_t epoch = 0;
+    std::uint64_t first_seq = 0;
+    /// Proven-held seqs of the current epoch: live arrivals plus the
+    /// prefixes proven by snapshot installs / anti-entropy completions.
+    SeqCoverage recv;
+    /// Cached "recv is not a contiguous prefix" — the ack-gating bit.
+    bool gapped = false;
+  };
+
+  /// One in-flight repair round with a peer (requester side).
+  struct AeRound {
+    bool active = false;
+    std::uint64_t round = 0;
+    std::vector<bool> installed;
+    std::size_t installed_count = 0;
+    bool sound = true;
+    /// Re-issue pacing (ae_housekeeping): ticks since the round opened,
+    /// or — for a bootstrap round — ticks without progress.
+    std::size_t ticks_active = 0;
+    std::vector<StreamCoverage> coverage;
+    std::vector<LogicalTime> donor_rows;
+    // -- bootstrap rounds only (request_sync).
+    bool bootstrap = false;
+    std::vector<bool> verified;  ///< per sender: live stream proven
+    bool gap = false;            ///< a stream proved a gap: re-issue
+    bool progressed = false;     ///< a delta installed or stream verified
+  };
 
   [[nodiscard]] Engine& engine(std::size_t i) { return *engines_[i]; }
   [[nodiscard]] Engine& engine_of(const Key& key) {
@@ -606,7 +613,7 @@ class StoreCore {
   /// access — safe while workers run): failure-detector knowledge, the
   /// self row advanced to `self_clock`, the fold floor re-derived and
   /// recorded in stats. Returns the floor to fold to, 0 when nothing is
-  /// foldable yet (stability off, catch-up session open, floor at 0).
+  /// foldable yet (stability off, bootstrap round open, floor at 0).
   ///
   /// `self_clock` is the largest own stamp this store can vouch it has
   /// locally applied-or-queued-behind-the-fold: clock_now() on the
@@ -617,23 +624,22 @@ class StoreCore {
   /// in-flight entry.
   [[nodiscard]] LogicalTime refresh_stability_floor(LogicalTime self_clock) {
     if (!stability_) return 0;
-    // No folding while a catch-up session is open. Two races hide here:
-    // (1) awaiting — donor rows adopted from the first installed shard
-    // would push keys of a *not yet installed* shard past the snapshot
-    // floor on a sparse live-delivery log, and install_base would then
-    // refuse the donor base as "already covered"; (2) guarding — a
-    // direct ack from a sender whose stream is not yet verified gap-free
-    // claims a prefix this store provably dropped while down, and
-    // folding over it would make the retry snapshot refusable the same
-    // way. Rows are trustworthy exactly when the session retires. The
-    // pause is bounded by the same events that already pin GC globally:
-    // a partitioned-away peer freezes everyone's floor (its rows stop
+    // No folding while a bootstrap round is open. Two races hide here:
+    // (1) batch outstanding — donor rows would push keys of a *not yet
+    // installed* shard past the snapshot floor on a sparse
+    // live-delivery log, and install_base would then refuse the donor
+    // base as "already covered"; (2) streams unverified — a direct ack
+    // from a sender whose stream is not yet verified gap-free claims a
+    // prefix this store provably dropped while down, and folding over
+    // it would make the retry delta refusable the same way. Rows are
+    // trustworthy exactly when the round completes. The pause is
+    // bounded by the same events that already pin GC globally: a
+    // partitioned-away peer freezes everyone's floor (its rows stop
     // advancing cluster-wide), and on heal its first envelope — or one
-    // gap retry — verifies its stream here and retires the session.
-    // FAULT kGcDuringCatchupSession: skip the pause and fold mid-sync
+    // gap retry — verifies its stream here and completes the round.
+    // FAULT kGcDuringCatchupSession: skip the pause and fold mid-round
     // on exactly the untrustworthy rows described above.
-    if (session_.active() &&
-        !config_.fault.is(Fault::kGcDuringCatchupSession)) {
+    if (boot_ && !config_.fault.is(Fault::kGcDuringCatchupSession)) {
       return 0;
     }
     refresh_crash_knowledge();
@@ -675,24 +681,19 @@ class StoreCore {
 
   void deliver(ProcessId from, const Envelope& e) {
     switch (e.kind) {
-      case EnvelopeKind::kSyncRequest:
-        // p2p kinds reuse `seq` as the sync round token (they are not
-        // part of the sender's broadcast stream).
-        if constexpr (kCatchupCapable) serve_sync(from, e);
-        return;
-      case EnvelopeKind::kShardSnapshot:
-        if constexpr (kCatchupCapable) {
-          if (e.snapshot) install_snapshot(from, e);
-        }
-        return;
       case EnvelopeKind::kAntiEntropyRequest:
+        // p2p kinds reuse `seq` as the round token (they are not part
+        // of the sender's broadcast stream).
         if constexpr (kCatchupCapable) serve_anti_entropy(from, e);
         return;
       case EnvelopeKind::kAntiEntropyDelta:
         if constexpr (kCatchupCapable) {
-          if (e.snapshot) install_anti_entropy(from, e);
+          if (e.snapshot) install_delta(from, e);
         }
         return;
+      case EnvelopeKind::kSyncRequest:
+      case EnvelopeKind::kShardSnapshot:
+        return;  // retired: never sent, and the wire decoder rejects them
       case EnvelopeKind::kBatch:
         break;
     }
@@ -729,8 +730,8 @@ class StoreCore {
     // holding everything the sender stamped below t — the partition may
     // have discarded some of it, and anti-entropy will deliver it later
     // as genuinely-new below-floor entries. Observing such an ack would
-    // let GC fold over them. The gap clears (and acks resume) when an
-    // anti-entropy round or a catch-up session proves the prefix.
+    // let GC fold over them. The gap clears (and acks resume) when a
+    // completed repair round proves the prefix.
     // FAULT kFoldAcksAcrossGaps (the mutation corpus's founding member):
     // folding over a known gap lets GC absorb the floor past entries
     // anti-entropy has yet to redeliver, which the offline auditor must
@@ -744,233 +745,178 @@ class StoreCore {
 
   // ----- recovery internals --------------------------------------------
 
-  void send_sync_request(ProcessId donor) {
-    if constexpr (kCatchupCapable) {
-      const std::uint64_t round =
-          session_.begin(donor, engines_.size(), net_->size());
-      last_progress_mark_ = session_.progress();
-      resync_needed_ = false;
-      ++stats_.sync_requests_sent;
-      Envelope req;
-      req.kind = EnvelopeKind::kSyncRequest;
-      req.epoch = epoch_;
-      req.seq = round;  // echoed on every snapshot of the batch
-      if (config_.incremental_snapshots) {
-        // Echo what we already installed from this donor: a retry round
-        // then ships only the keys that advanced since the previous
-        // round, not every shard in full. A fresh store's markers are
-        // all zero — the first round is always full.
-        req.sync_markers = snap_markers_[donor];
-        req.sync_markers_epoch = snap_marker_epochs_[donor];
-      }
-      net_->send(pid_, donor, req);
-      if (obs_ && obs_->tracer) {
-        obs_->tracer->instant(0, obs::TraceEventKind::kSyncRequest, donor,
-                              round);
-      }
-    } else {
-      (void)donor;
-    }
-  }
-
-  /// Donor side of catch-up: compact, then ship one ShardSnapshot per
-  /// engine (p2p), each echoing the requester's round token — as deltas
-  /// against the markers the request carried, where valid.
-  void serve_sync(ProcessId requester, const Envelope& req) {
-    if constexpr (kCatchupCapable) {
-      if (requester == pid_ || requester >= net_->size()) return;
-      // A donor with an open catch-up session must not serve. Awaiting:
-      // its bases are incomplete. Guarding is no better: build_coverage
-      // advertises each sender's proven prefix, but a guarding store
-      // has not yet *verified* that it holds the [0, first_seq) part of
-      // those streams — serving would let a second joiner falsely
-      // verify a stream whose gap entries this store is itself still
-      // chasing, and retire into silent divergence. Defer; the
-      // requester's stall retry rotates to another donor.
-      if (session_.active()) return;
-      ++stats_.sync_requests_served;
-      if (obs_ && obs_->tracer) {
-        obs_->tracer->instant(0, obs::TraceEventKind::kSyncServe, requester,
-                              req.seq);
-      }
-      ship_snapshots(requester, req.seq, EnvelopeKind::kShardSnapshot,
-                     req.sync_markers, req.sync_markers_epoch);
-    }
-  }
-
-  /// Shared donor-side shipper for catch-up serves and anti-entropy
-  /// replies: compact, build the honest coverage vector, then one
-  /// snapshot per engine — full, or a delta from the requester's echoed
-  /// markers when they are for this incarnation (a restarted donor's
-  /// counters restart at zero, so stale-epoch markers must not be
-  /// trusted) and incremental shipping is on.
-  void ship_snapshots(ProcessId requester, std::uint64_t round,
-                      EnvelopeKind kind,
-                      const std::vector<std::uint64_t>& markers,
-                      std::uint64_t markers_epoch,
-                      const std::vector<LogicalTime>& requester_floors = {}) {
-    if constexpr (kCatchupCapable) {
-      // Snapshots ship base + unstable suffix: compact first, and fold
-      // *every* dirty engine regardless of the incremental budget — a
-      // half-folded engine would ship already-stable entries in its
-      // suffix and re-inflate the receiver's install cost.
-      (void)collect_garbage();
-      if (gc_floor_ > 0) (void)gc_sweep(gc_floor_, 0);
-      const bool deltas = config_.incremental_snapshots &&
-                          markers_epoch == epoch_ &&
-                          markers.size() == engines_.size();
-      const auto coverage = build_coverage();
-      for (std::size_t i = 0; i < engines_.size(); ++i) {
-        auto snap = std::make_shared<Snapshot>(engines_[i]->encode_snapshot(
-            engines_.size(), deltas ? markers[i] : 0, requester));
-        // Entry-level dedup from the requester's coverage summary:
-        // anything below its per-origin row rode a live envelope it
-        // already delivered. Bases ship untouched — only the unstable
-        // suffixes thin out.
-        if (!requester_floors.empty()) {
-          for (auto& ks : snap->keys) {
-            const std::size_t before = ks.suffix.size();
-            std::erase_if(ks.suffix, [&](const auto& entry) {
-              return entry.stamp.pid < requester_floors.size() &&
-                     entry.stamp.clock <= requester_floors[entry.stamp.pid];
-            });
-            stats_.ae_entries_skipped_covered += before - ks.suffix.size();
-          }
-        }
-        snap->donor_clock = clock_.now();
-        if (stability_) snap->donor_rows = stability_->rows();
-        snap->coverage = coverage;
-        stats_.snapshot_keys_served += snap->keys.size();
-        stats_.snapshot_keys_skipped_delta +=
-            snap->keys_total - snap->keys.size();
-        Envelope env;
-        env.kind = kind;
-        env.epoch = epoch_;
-        env.seq = round;
-        env.snapshot = std::move(snap);
-        const std::size_t bytes = wire_size(env);
-        if (kind == EnvelopeKind::kShardSnapshot) {
-          ++stats_.snapshots_served;
-          stats_.snapshot_entries_served += env.snapshot->suffix_entries();
-          stats_.snapshot_bytes_served += bytes;
-        } else {
-          stats_.ae_entries_served += env.snapshot->suffix_entries();
-          stats_.ae_bytes_served += bytes;
-        }
-        net_->send(pid_, requester, env);
-      }
-    } else {
-      (void)requester;
-      (void)round;
-      (void)kind;
-      (void)markers;
-      (void)markers_epoch;
-      (void)requester_floors;
-    }
-  }
-
-  /// Joiner side: adopt the donor's compacted state and bookkeeping.
-  void install_snapshot(ProcessId from, const Envelope& e) {
-    const Snapshot& snap = *e.snapshot;
-    const std::uint64_t round = e.seq;
-    UCW_CHECK_MSG(snap.shard_count == engines_.size(),
-                  "snapshot from a store with a different shard_count");
-    UCW_CHECK(snap.shard_index < engines_.size());
-    ++stats_.snapshots_installed;
+  /// Opens a repair round toward `peer` (the first call, and every
+  /// re-issue): a fresh round token, echoed on every delta of the
+  /// batch — deltas of superseded rounds still install their data but
+  /// can no longer complete the round, so it cannot complete on a stale
+  /// batch. A bootstrap round replaces any earlier one (a retry, or a
+  /// rotation to another donor).
+  void open_round(ProcessId peer, bool reciprocate, bool bootstrap) {
+    ++stats_.ae_rounds_started;
     if (obs_ && obs_->tracer) {
-      obs_->tracer->instant(0, obs::TraceEventKind::kSnapshotInstall, from,
-                            snap.shard_index);
+      obs_->tracer->instant(0, obs::TraceEventKind::kAeRequest, peer,
+                            ae_round_counter_ + 1);
     }
-    (void)note_marker(from, e.epoch, snap);
-    // Re-base the clock first: stamps issued from here on clear
-    // everything the snapshot covers (including this process's own
-    // pre-crash stream — the network model drains an incarnation before
-    // its pid may restart, so the donor clock dominates it). The donor
-    // *rows* must be observed too, not just its clock: the old
-    // incarnation can have burned clock values no stamp ever used
-    // (query ticks, ack heartbeats), and peers' fold floors track those
-    // via rows[us] — a fresh stamp at or below such a floor would be
-    // absorbed there as a folded-entry redelivery. Drain-before-restart
-    // guarantees every old ack reached the donor, so its rows dominate
-    // them; over-observing is always safe for a Lamport clock.
-    clock_.observe(snap.donor_clock);
-    for (const LogicalTime r : snap.donor_rows) clock_.observe(r);
-    bootstrapping_ = false;
-    any_snapshot_installed_ = true;
-    for (const auto& ks : snap.keys) {
-      bool floor_raised = false;
-      stats_.catchup_entries +=
-          engine_of(ks.key).install_key(ks, &floor_raised, from);
-      if (floor_raised) ++stats_.catchup_keys;
+    if (bootstrap && boot_) ae_[*boot_].active = false;
+    AeRound& r = ae_[peer];
+    r.active = true;
+    r.bootstrap = bootstrap;
+    r.round = ++ae_round_counter_;
+    r.installed.assign(engines_.size(), false);
+    r.installed_count = 0;
+    r.sound = true;
+    r.ticks_active = 0;
+    r.coverage.assign(net_->size(), StreamCoverage{});
+    if (bootstrap) {
+      boot_ = peer;
+      r.verified.assign(net_->size(), false);
+      r.gap = false;
+      r.progressed = false;
     }
-    engines_[snap.shard_index]->note_snapshot_installed();
-    // Stale rounds (duplicates, batches overtaken by a retry) installed
-    // their data above but must not satisfy the current round — retiring
-    // on an old batch would let GC fold ahead of the fresh batch still
-    // in flight and make its installs refusable.
-    if (session_.active() && round == session_.round()) {
-      session_.merge_coverage(snap.coverage);
-      (void)session_.note_shard_installed(snap.shard_index);
-      if (!session_.awaiting() && stability_ && !snap.donor_rows.empty()) {
-        // Adopt the donor's stability rows only once this round's batch
-        // is complete: the rows claim "everything below them is covered
-        // here", which the round's snapshots only deliver in full. A
-        // partial round's rows (donor crashed mid-batch) would raise
-        // the floor past entries neither installed nor yet delivered
-        // and GC would fold over them. Every snapshot of a round
-        // carries the same rows, so adopting from the last-arriving one
-        // is exactly the serve-time knowledge.
-        stability_->adopt(snap.donor_rows);
-        stability_->advance_self(clock_.now());
-      }
-      reevaluate_session();
+    Envelope req;
+    req.kind = EnvelopeKind::kAntiEntropyRequest;
+    req.epoch = epoch_;
+    req.seq = r.round;  // p2p kinds reuse seq as the round token
+    req.ae_reciprocate = reciprocate;
+    if (config_.incremental_snapshots) {
+      // A fresh joiner's markers are all zero, so its first round is
+      // always full; a retry ships only what advanced since.
+      req.sync_markers = snap_markers_[peer];
+      req.sync_markers_epoch = snap_marker_epochs_[peer];
     }
+    // Coverage summary on the wire: ship our stability rows so the
+    // donor can skip suffix entries we provably received live (rows
+    // are raised only by gap-gated first-hand acks, so "stamp.clock
+    // <= rows[origin]" really means "already held here" — even
+    // across drops, because a gapped stream stops raising its row).
+    // Not on a bootstrap round: a rejoiner's rows come from the new
+    // incarnations of its peers and say nothing about the older
+    // epochs it missed while down.
+    if (stability_ && !bootstrap) req.ae_floors = stability_->rows();
+    net_->send(pid_, peer, req);
   }
 
-  /// Donor side of anti-entropy: ship the delta batch, then pull back
-  /// if the requester asked for a bidirectional heal. Refused while a
-  /// catch-up session is open here — exactly the serve_sync reasons: an
-  /// unverified store must not vouch for anyone's stream coverage.
+  /// Donor side: ship the delta batch, then pull back if the requester
+  /// asked for a bidirectional heal. Refused while this store's own
+  /// bootstrap round is open. Its bases are incomplete until the batch
+  /// lands. And until its streams are verified, it has not proven that
+  /// it holds the [0, first_seq) part of the streams its coverage
+  /// advertises: serving would let a second joiner falsely verify a
+  /// stream whose gap entries this store is itself still chasing, and
+  /// complete into silent divergence. Defer; the requester re-issues.
   void serve_anti_entropy(ProcessId requester, const Envelope& req) {
     if constexpr (kCatchupCapable) {
       if (requester == pid_ || requester >= net_->size()) return;
-      if (session_.active()) return;
+      if (boot_) return;
       ++stats_.ae_rounds_served;
       if (obs_ && obs_->tracer) {
         obs_->tracer->instant(0, obs::TraceEventKind::kAeServe, requester,
                               req.seq);
       }
-      ship_snapshots(requester, req.seq, EnvelopeKind::kAntiEntropyDelta,
-                     req.sync_markers, req.sync_markers_epoch, req.ae_floors);
+      ship_snapshots(requester, req.seq, req.sync_markers,
+                     req.sync_markers_epoch, req.ae_floors);
       if (req.ae_reciprocate) (void)anti_entropy_round(requester, false);
     }
   }
 
-  /// Requester side of anti-entropy: install the delta (always safe —
-  /// per-key logs are set-unions and bases install monotonically), and
-  /// once the round's full batch has landed, adopt the peer's coverage
-  /// rows (repairing gapped streams) and stability knowledge.
-  void install_anti_entropy(ProcessId from, const Envelope& e) {
+  /// Donor-side shipper: compact, build the honest coverage vector,
+  /// then one snapshot per engine — full, or a delta from the
+  /// requester's echoed markers when they are for this incarnation (a
+  /// restarted donor's counters restart at zero, so stale-epoch markers
+  /// must not be trusted) and incremental shipping is on.
+  void ship_snapshots(ProcessId requester, std::uint64_t round,
+                      const std::vector<std::uint64_t>& markers,
+                      std::uint64_t markers_epoch,
+                      const std::vector<LogicalTime>& requester_floors) {
+    // Snapshots ship base + unstable suffix: compact first, and fold
+    // *every* dirty engine regardless of the incremental budget — a
+    // half-folded engine would ship already-stable entries in its
+    // suffix and re-inflate the receiver's install cost.
+    (void)collect_garbage();
+    if (gc_floor_ > 0) (void)gc_sweep(gc_floor_, 0);
+    const bool deltas = config_.incremental_snapshots &&
+                        markers_epoch == epoch_ &&
+                        markers.size() == engines_.size();
+    const auto coverage = build_coverage();
+    for (std::size_t i = 0; i < engines_.size(); ++i) {
+      auto snap = std::make_shared<Snapshot>(engines_[i]->encode_snapshot(
+          engines_.size(), deltas ? markers[i] : 0, requester));
+      // Entry-level dedup from the requester's coverage summary:
+      // anything below its per-origin row rode a live envelope it
+      // already delivered. Bases ship untouched — only the unstable
+      // suffixes thin out.
+      if (!requester_floors.empty()) {
+        for (auto& ks : snap->keys) {
+          const std::size_t before = ks.suffix.size();
+          std::erase_if(ks.suffix, [&](const auto& entry) {
+            return entry.stamp.pid < requester_floors.size() &&
+                   entry.stamp.clock <= requester_floors[entry.stamp.pid];
+          });
+          stats_.ae_entries_skipped_covered += before - ks.suffix.size();
+        }
+      }
+      snap->donor_clock = clock_.now();
+      if (stability_) snap->donor_rows = stability_->rows();
+      snap->coverage = coverage;
+      stats_.snapshot_keys_served += snap->keys.size();
+      stats_.snapshot_keys_skipped_delta +=
+          snap->keys_total - snap->keys.size();
+      Envelope env;
+      env.kind = EnvelopeKind::kAntiEntropyDelta;
+      env.epoch = epoch_;
+      env.seq = round;
+      env.snapshot = std::move(snap);
+      stats_.ae_entries_served += env.snapshot->suffix_entries();
+      stats_.ae_bytes_served += wire_size(env);
+      net_->send(pid_, requester, env);
+    }
+  }
+
+  /// Requester side: install one delta (always safe — per-key logs are
+  /// set-unions and bases install monotonically), and once the round's
+  /// full batch has landed, adopt the peer's coverage rows (repairing
+  /// gapped streams) and stability knowledge. A bootstrap round adds
+  /// the clock re-base and defers completion to stream verification.
+  void install_delta(ProcessId from, const Envelope& e) {
     const Snapshot& snap = *e.snapshot;
     UCW_CHECK_MSG(snap.shard_count == engines_.size(),
-                  "anti-entropy with a store of a different shard_count");
+                  "delta from a store with a different shard_count");
     UCW_CHECK(snap.shard_index < engines_.size());
     ++stats_.ae_snapshots_installed;
     if (obs_ && obs_->tracer) {
       obs_->tracer->instant(0, obs::TraceEventKind::kAeInstall, from,
                             snap.shard_index);
     }
-    for (const auto& ks : snap.keys) {
-      bool floor_raised = false;
-      stats_.ae_entries_installed +=
-          engine_of(ks.key).install_key(ks, &floor_raised, from);
+    if (boot_) {
+      // Re-base the clock first: stamps issued from here on clear
+      // everything the delta covers (including this process's own
+      // pre-crash stream — the network model drains an incarnation
+      // before its pid may restart, so the donor clock dominates it).
+      // The donor *rows* must be observed too, not just its clock: the
+      // old incarnation can have burned clock values no stamp ever used
+      // (query ticks, ack heartbeats), and peers' fold floors track
+      // those via rows[us] — a fresh stamp at or below such a floor
+      // would be absorbed there as a folded-entry redelivery.
+      // Drain-before-restart guarantees every old ack reached the
+      // donor, so its rows dominate them; over-observing is always safe
+      // for a Lamport clock.
+      clock_.observe(snap.donor_clock);
+      for (const LogicalTime r : snap.donor_rows) clock_.observe(r);
+      bootstrapping_ = false;
+      clock_rebased_ = true;
     }
+    for (const auto& ks : snap.keys) {
+      stats_.ae_entries_installed += engine_of(ks.key).install_key(ks, from);
+    }
+    engines_[snap.shard_index]->note_snapshot_installed();
     const bool marker_sound = note_marker(from, e.epoch, snap);
     if (from >= ae_.size()) return;
     AeRound& r = ae_[from];
     // Stale rounds (superseded exchanges, at-least-once duplicates)
     // installed their data above but must not complete the current
-    // round — their coverage snapshot could predate a re-partition.
+    // round — their coverage snapshot could predate a re-partition, and
+    // completing a bootstrap round on an old batch would let GC fold
+    // ahead of the fresh batch still in flight.
     if (!r.active || e.seq != r.round) return;
     if (!marker_sound) r.sound = false;
     if (!r.installed[snap.shard_index]) {
@@ -979,6 +925,22 @@ class StoreCore {
     }
     r.coverage = snap.coverage;  // every snapshot of a round carries the same
     r.donor_rows = snap.donor_rows;
+    if (r.bootstrap) {
+      r.progressed = true;
+      if (r.installed_count == r.installed.size() && stability_ &&
+          !r.donor_rows.empty()) {
+        // Adopt the donor's stability rows only once this round's batch
+        // is complete: the rows claim "everything below them is covered
+        // here", which the round's deltas only deliver in full. A
+        // partial round's rows (donor crashed mid-batch) would raise
+        // the floor past entries neither installed nor yet delivered
+        // and GC would fold over them.
+        stability_->adopt(r.donor_rows);
+        stability_->advance_self(clock_.now());
+      }
+      reevaluate_bootstrap();
+      return;
+    }
     // FAULT kAeAdoptOnFirstDelta: adopt the peer's coverage/stability
     // rows after the round's *first* installed delta instead of the
     // complete batch — vouching for data still riding in the round's
@@ -988,18 +950,13 @@ class StoreCore {
         !config_.fault.is(Fault::kAeAdoptOnFirstDelta)) {
       return;
     }
-    r.active = false;
-    ++stats_.ae_rounds_completed;
-    if (obs_ && obs_->tracer) {
-      obs_->tracer->instant(0, obs::TraceEventKind::kAeAdopt, from,
-                            static_cast<std::uint64_t>(r.sound));
-    }
-    // A concurrently opened catch-up session owns stream trust now; its
-    // own retire will seed coverage. And an unsound round (a delta
-    // relative to a baseline we never installed — only possible across
-    // interleaved restarts) must adopt nothing: the data helped, the
-    // claims might not hold here.
-    if (session_.active() || !r.sound) return;
+    complete_round(from, r);
+    // An open bootstrap round owns stream trust now; its own completion
+    // will seed coverage. And an unsound round (a delta relative to a
+    // baseline we never installed — only possible across interleaved
+    // restarts) must adopt nothing: the data helped, the claims might
+    // not hold here.
+    if (boot_ || !r.sound) return;
     // Everything the peer held at serve time is now held here (previous
     // complete installs cover the clean keys, this batch the dirty
     // ones, and live arrivals only add), so its proven coverage of
@@ -1011,6 +968,15 @@ class StoreCore {
     if (stability_ && !r.donor_rows.empty()) {
       stability_->adopt(r.donor_rows);
       stability_->advance_self(clock_.now());
+    }
+  }
+
+  void complete_round(ProcessId from, AeRound& r) {
+    r.active = false;
+    ++stats_.ae_rounds_completed;
+    if (obs_ && obs_->tracer) {
+      obs_->tracer->instant(0, obs::TraceEventKind::kAeAdopt, from,
+                            static_cast<std::uint64_t>(r.sound));
     }
   }
 
@@ -1033,7 +999,7 @@ class StoreCore {
   }
 
   /// Tracks each sender's live (epoch, seq) stream; a fresh incarnation
-  /// or the first envelope after a (re)start re-arms the catch-up gap
+  /// or the first envelope after a (re)start re-arms the bootstrap gap
   /// check for that sender. The per-epoch SeqCoverage records exactly
   /// which seqs are held — per-link FIFO makes live arrivals in-order,
   /// so a new segment boundary is a drop (partitioned away, or dropped
@@ -1045,14 +1011,12 @@ class StoreCore {
       ps.any = true;
       ps.epoch = e.epoch;
       ps.first_seq = e.seq;
-      ps.last_seq = e.seq;
       ps.recv.reset();
       ps.recv.add(e.seq);
       ps.gapped = false;
       refresh_gap(from);
-      if (session_.active()) reevaluate_session();
+      if (boot_) reevaluate_bootstrap();
     } else if (e.epoch == ps.epoch) {
-      if (e.seq > ps.last_seq) ps.last_seq = e.seq;
       ps.recv.add(e.seq);
       refresh_gap(from);
     }
@@ -1071,28 +1035,45 @@ class StoreCore {
     }
   }
 
-  void reevaluate_session() {
-    if constexpr (kCatchupCapable) {
-      std::vector<PeerStreamView> views;
-      views.reserve(peers_.size());
-      for (const PeerStream& ps : peers_) {
-        views.push_back(PeerStreamView{ps.any, ps.epoch, ps.first_seq});
+  /// Re-checks every unverified sender stream of the open bootstrap
+  /// round against the donor's coverage (prove_stream). A gap flags a
+  /// re-issue for the next tick; a verification counts as progress.
+  /// The round completes once its full batch is installed and every
+  /// stream is verified, i.e. the installed deltas provably covered
+  /// the [0, first live seq) prefix of each.
+  void reevaluate_bootstrap() {
+    AeRound& r = ae_[*boot_];
+    bool all = true;
+    for (ProcessId q = 0; q < r.verified.size(); ++q) {
+      if (r.verified[q]) continue;
+      // Our own old incarnation's stream: the network model only allows
+      // a restart once everything that incarnation sent has drained, so
+      // the donor held its complete stream before serving.
+      const PeerStream& ps = peers_[q];
+      const StreamProof p =
+          q == pid_ ? StreamProof::kVerified
+                    : prove_stream(PeerStreamView{ps.any, ps.epoch,
+                                                  ps.first_seq},
+                                   r.coverage[q]);
+      if (p == StreamProof::kVerified) {
+        r.verified[q] = true;
+        r.progressed = true;
+        continue;
       }
-      if (session_.reevaluate(pid_, views)) resync_needed_ = true;
-      if (session_.try_retire()) {
-        // Retired: every stream verified, i.e. the installed snapshots
-        // provably covered the [0, first live seq) prefix of each.
-        ++stats_.syncs_completed;
-        adopt_coverage(session_.coverage());
-      }
+      if (p == StreamProof::kGap) r.gap = true;
+      all = false;
     }
+    if (!all || r.installed_count < r.installed.size()) return;
+    const ProcessId donor = *boot_;
+    boot_.reset();
+    complete_round(donor, r);
+    adopt_coverage(r.coverage);
   }
 
-  /// Folds a proven coverage vector (a retired session's merged donor
-  /// coverage, or a completed anti-entropy round's) into the per-sender
-  /// SeqCoverage, so mid-stream joins and partition drops stop reading
-  /// as gaps (and those senders' acks resume feeding stability).
-  /// Conservative: only same-epoch claims are adopted.
+  /// Folds a proven coverage vector (a completed round's) into the
+  /// per-sender SeqCoverage, so mid-stream joins and partition drops
+  /// stop reading as gaps (and those senders' acks resume feeding
+  /// stability). Conservative: only same-epoch claims are adopted.
   void adopt_coverage(const std::vector<StreamCoverage>& cov) {
     for (ProcessId q = 0; q < cov.size() && q < peers_.size(); ++q) {
       if (q == pid_) continue;
@@ -1104,71 +1085,18 @@ class StoreCore {
     }
   }
 
-  /// Flush-tick pacing of catch-up retries: a detected gap, or a session
-  /// that made no progress since the last tick (lost request, crashed
-  /// donor), re-requests — possibly from a new donor.
-  void sync_housekeeping() {
-    if constexpr (kCatchupCapable) {
-      if (!session_.active()) return;
-      // No progress for `sync_patience_ticks` re-requests. Awaiting:
-      // the request or a snapshot was lost (crashed donor, or a donor
-      // deferring because it is mid-sync itself). Guarding: some stream
-      // is still unverified — usually its next live envelope settles it
-      // within a tick, but a sender that went quiet (or crashed) after
-      // an envelope of its was dropped here can only be resolved by a
-      // re-serve with refreshed coverage, whose `drained` bit proves
-      // the stream settled once nothing of it is in flight. Retries
-      // therefore terminate: each re-serve either closes the gap or
-      // the stream settles.
-      if (session_.stalled_since(last_progress_mark_)) {
-        ++stall_ticks_;
-      } else {
-        stall_ticks_ = 0;
-      }
-      last_progress_mark_ = session_.progress();
-      const bool stalled = stall_ticks_ >= config_.sync_patience_ticks;
-      if (!resync_needed_ && !stalled) return;
-      // Gap retries go back to the same donor (it will have the missing
-      // envelopes eventually). A stall rotates to the next live donor:
-      // the current one may be crashed, or deferring because it is
-      // mid-sync itself — two concurrently recovering stores must not
-      // retry into each other forever.
-      ProcessId donor = session_.donor();
-      if (stalled) {
-        bool found = false;
-        for (std::size_t step = 1; step <= net_->size(); ++step) {
-          const auto q = static_cast<ProcessId>(
-              (session_.donor() + step) % net_->size());
-          if (q == pid_) continue;
-          if constexpr (kCrashAware) {
-            if (net_->crashed(q)) continue;
-          }
-          donor = q;
-          found = true;
-          break;
-        }
-        if (!found) {
-          session_.abandon();  // nobody left to sync from
-          bootstrapping_ = false;
-          return;
-        }
-      }
-      stall_ticks_ = 0;
-      ++stats_.sync_retries;
-      send_sync_request(donor);  // opens the next round
-    }
-  }
-
-  /// Flush-tick pacing of gap-triggered anti-entropy: every sender
-  /// whose stream has a detected gap — and is reachable, alive, and not
-  /// already mid-round — gets a pull from its origin (which trivially
-  /// holds its own entries, so origin-alive gaps always close). A round
-  /// whose messages were lost (re-split mid-exchange, crashed peer) is
-  /// re-issued after `ae_patience_ticks` ticks rather than wedging.
-  /// Skipped entirely while a catch-up session owns recovery.
+  /// Flush-tick pacing of the repair rounds. An open bootstrap round
+  /// owns repair: it alone is retried, and no other round is opened.
+  /// Otherwise every sender whose stream has a detected gap — and is
+  /// reachable, alive, and not already mid-round — gets a pull from its
+  /// origin (which trivially holds its own entries, so origin-alive
+  /// gaps always close). A round whose messages were lost (re-split
+  /// mid-exchange, crashed peer) is re-issued after `ae_patience_ticks`
+  /// ticks rather than wedging.
   void ae_housekeeping() {
     if constexpr (kCatchupCapable) {
-      if (!config_.auto_anti_entropy || session_.active()) return;
+      if (boot_) retry_bootstrap();
+      if (boot_ || !config_.auto_anti_entropy) return;
       for (ProcessId q = 0; q < peers_.size(); ++q) {
         if (q == pid_) continue;
         AeRound& r = ae_[q];
@@ -1186,6 +1114,52 @@ class StoreCore {
         (void)anti_entropy_round(q, /*reciprocate=*/false);
       }
     }
+  }
+
+  /// Bootstrap retries: a detected gap, or `ae_patience_ticks` ticks
+  /// without progress (lost request, crashed donor), re-issue the round
+  /// — possibly to a new donor. Without progress: the request or a
+  /// delta was lost (crashed donor, or a donor deferring because it is
+  /// bootstrapping itself); or some stream is still unverified —
+  /// usually its next live envelope settles it within a tick, but a
+  /// sender that went quiet (or crashed) after an envelope of its was
+  /// dropped here can only be resolved by a re-serve with refreshed
+  /// coverage, whose `drained` bit proves the stream settled once
+  /// nothing of it is in flight. Retries therefore terminate: each
+  /// re-serve either closes the gap or the stream settles.
+  void retry_bootstrap() {
+    const ProcessId donor = *boot_;
+    AeRound& r = ae_[donor];
+    r.ticks_active = r.progressed ? 0 : r.ticks_active + 1;
+    r.progressed = false;
+    const bool stalled = r.ticks_active >= config_.ae_patience_ticks;
+    if (!r.gap && !stalled) return;
+    // Gap retries go back to the same donor (it will have the missing
+    // envelopes eventually). A stall rotates to the next live donor:
+    // the current one may be crashed, or deferring because it is
+    // bootstrapping itself — two concurrently recovering stores must
+    // not retry into each other forever.
+    ProcessId next = donor;
+    if (stalled) {
+      bool found = false;
+      for (std::size_t step = 1; step <= net_->size(); ++step) {
+        const auto q = static_cast<ProcessId>((donor + step) % net_->size());
+        if (q == pid_) continue;
+        if constexpr (kCrashAware) {
+          if (net_->crashed(q)) continue;
+        }
+        next = q;
+        found = true;
+        break;
+      }
+      if (!found) {
+        r.active = false;  // nobody left to bootstrap from
+        boot_.reset();
+        bootstrapping_ = false;
+        return;
+      }
+    }
+    open_round(next, /*reciprocate=*/false, /*bootstrap=*/true);
   }
 
   /// Ack heartbeat: without one, a process that updates rarely (or only
@@ -1265,7 +1239,7 @@ class StoreCore {
         continue;
       }
       const PeerStream& ps = peers_[q];
-      // Claim only the *proven* prefix. `last_seq` was a valid FIFO
+      // Claim only the *proven* prefix. The last seq seen was a valid FIFO
       // shortcut before drop-mode partitions existed; with drops it
       // over-claims — the segments beyond the first hole were received,
       // but nothing proves the hole's envelopes are held here.
@@ -1339,31 +1313,6 @@ class StoreCore {
     }
   }
 
-  /// One sender's live stream as observed here since (re)start.
-  struct PeerStream {
-    bool any = false;
-    std::uint64_t epoch = 0;
-    std::uint64_t first_seq = 0;
-    std::uint64_t last_seq = 0;
-    /// Proven-held seqs of the current epoch: live arrivals plus the
-    /// prefixes proven by snapshot installs / anti-entropy completions.
-    SeqCoverage recv;
-    /// Cached "recv is not a contiguous prefix" — the ack-gating bit.
-    bool gapped = false;
-  };
-
-  /// One in-flight anti-entropy exchange with a peer (requester side).
-  struct AeRound {
-    bool active = false;
-    std::uint64_t round = 0;
-    std::vector<bool> installed;
-    std::size_t installed_count = 0;
-    bool sound = true;
-    std::size_t ticks_active = 0;  ///< re-issue pacing (ae_housekeeping)
-    std::vector<StreamCoverage> coverage;
-    std::vector<LogicalTime> donor_rows;
-  };
-
   A adt_;
   ProcessId pid_;
   StoreConfig config_;
@@ -1372,7 +1321,6 @@ class StoreCore {
   /// every engine (see AtomicLamportClock).
   AtomicLamportClock clock_;
   std::optional<StoreStabilityTracker> stability_;
-  CatchupSession session_;
   std::vector<PeerStream> peers_;
   /// Per donor, per shard: the delta marker of the last snapshot batch
   /// installed from it (echoed on requests), and the donor incarnation
@@ -1381,6 +1329,8 @@ class StoreCore {
   std::vector<std::uint64_t> snap_marker_epochs_;
   std::vector<AeRound> ae_;  ///< per peer
   std::uint64_t ae_round_counter_ = 0;
+  /// The donor of the open bootstrap round, if any.
+  std::optional<ProcessId> boot_;
   std::vector<std::unique_ptr<Engine>> engines_;
   std::vector<Engine*> engine_ptrs_;  ///< the all-engines flush set
   std::uint64_t epoch_ = 0;
@@ -1389,12 +1339,9 @@ class StoreCore {
   std::size_t pending_total_ = 0;  ///< single-owner path's buffered count
   LogicalTime gc_floor_ = 0;
   std::size_t gc_cursor_ = 0;  ///< incremental sweep resume point
-  std::uint64_t last_progress_mark_ = 0;
-  std::size_t stall_ticks_ = 0;
-  bool resync_needed_ = false;
   bool bootstrapping_ = false;
-  bool any_snapshot_installed_ = false;
-  /// Store-wide counters only (wire, GC, catch-up); the per-engine
+  bool clock_rebased_ = false;  ///< a bootstrap delta re-based the clock
+  /// Store-wide counters only (wire, GC, repair); the per-engine
   /// operation counts are merged in by stats().
   StoreStats stats_;
   /// Allocated iff config_.tracing — the "off ≈ one branch" gate every

@@ -10,8 +10,8 @@
 // The recovery counters answer the subsystem's two questions: how much
 // log did store-level stability fold (gc_*, stability_floor_lag — the
 // unstable window a snapshot would have to ship), and how much did a
-// catch-up actually transfer (catchup_* / snapshot_*) versus the full
-// history a log-replay rejoin would replay.
+// repair round actually transfer (ae_* / snapshot_keys_*) versus the
+// full history a log-replay rejoin would replay.
 #pragma once
 
 #include <cstdint>
@@ -84,43 +84,32 @@ struct StoreStats {
   LogicalTime stability_floor = 0;    ///< last pushed-down fold floor
   LogicalTime stability_floor_lag = 0;  ///< own clock − floor (unstable window)
 
-  // -- catch-up / snapshot shipping.
-  std::uint64_t sync_requests_sent = 0;
-  std::uint64_t sync_requests_served = 0;
-  std::uint64_t sync_retries = 0;       ///< gap or stall re-requests
-  std::uint64_t syncs_completed = 0;    ///< sessions verified + retired
-  std::uint64_t snapshots_served = 0;   ///< ShardSnapshots shipped out
-  std::uint64_t snapshots_installed = 0;
-  std::uint64_t snapshot_entries_served = 0;  ///< suffix entries shipped
-  /// Est. wire bytes of served snapshots (bases sized by live-state
-  /// element count + suffixes) — the transfer cost of playing donor.
-  std::uint64_t snapshot_bytes_served = 0;
-  /// Key installs that raised a per-key floor — cumulative across sync
-  /// rounds, so a key re-shipped by a retry counts again (this measures
-  /// transfer volume, not distinct keys; it can exceed the keyspace).
-  std::uint64_t catchup_keys = 0;
-  std::uint64_t catchup_entries = 0;  ///< suffix entries replayed on install
-  /// Keyed snapshots shipped while playing donor (catch-up + AE), and
-  /// how many live keys the delta codec *skipped* as clean — together
-  /// they are the incremental-snapshot win: skipped / (served + skipped)
-  /// of the keyspace never hit the wire on retries and AE rounds.
+  // -- repair (anti-entropy rounds, a rejoiner's bootstrap rounds
+  //    included). A drop-mode partition discards cross-group envelopes,
+  //    so a sender's (epoch, seq) stream grows a gap at the receiver;
+  //    gapped streams stop feeding the stability floor (their acks no
+  //    longer prove FIFO coverage) until a round re-proves coverage and
+  //    ships the missing state as delta snapshots.
+  std::uint64_t stream_gaps_detected = 0;  ///< intact→gapped transitions
+  /// Rounds opened: anti_entropy_round() calls, request_sync() calls,
+  /// and every re-issue (gap, stall, donor rotation).
+  std::uint64_t ae_rounds_started = 0;
+  std::uint64_t ae_rounds_served = 0;      ///< requests served as donor
+  /// Full delta batch installed (and, for a bootstrap round, every
+  /// sender's stream verified).
+  std::uint64_t ae_rounds_completed = 0;
+  std::uint64_t ae_snapshots_installed = 0;  ///< delta snapshots installed
+  std::uint64_t ae_entries_installed = 0;  ///< suffix entries replayed
+  std::uint64_t ae_entries_served = 0;     ///< suffix entries shipped as donor
+  /// Est. wire bytes of served deltas (bases sized by live-state element
+  /// count + suffixes) — the transfer cost of playing donor.
+  std::uint64_t ae_bytes_served = 0;
+  /// Keyed snapshots shipped while playing donor, and how many live
+  /// keys the delta codec *skipped* as clean — together they are the
+  /// incremental-snapshot win: skipped / (served + skipped) of the
+  /// keyspace never hit the wire on retries and AE rounds.
   std::uint64_t snapshot_keys_served = 0;
   std::uint64_t snapshot_keys_skipped_delta = 0;
-
-  // -- partitions / anti-entropy. A drop-mode partition discards
-  //    cross-group envelopes, so a sender's (epoch, seq) stream grows a
-  //    gap at the receiver; gapped streams stop feeding the stability
-  //    floor (their acks no longer prove FIFO coverage) until a heal-
-  //    time anti-entropy round re-proves coverage and ships the missing
-  //    state as delta snapshots.
-  std::uint64_t stream_gaps_detected = 0;  ///< intact→gapped transitions
-  std::uint64_t ae_rounds_started = 0;     ///< anti_entropy_round() calls
-  std::uint64_t ae_rounds_served = 0;      ///< requests served as donor
-  std::uint64_t ae_rounds_completed = 0;   ///< full delta batch installed
-  std::uint64_t ae_snapshots_installed = 0;
-  std::uint64_t ae_entries_installed = 0;  ///< suffix entries via AE
-  std::uint64_t ae_entries_served = 0;     ///< suffix entries shipped as donor
-  std::uint64_t ae_bytes_served = 0;       ///< est. wire bytes, AE serves
   /// Suffix entries a donor did NOT ship because the requester's AE
   /// request carried stability rows proving it received them live
   /// (coverage summaries on the wire — entry-level dedup on top of the
@@ -218,47 +207,31 @@ inline void print_saturation_line(
 }
 
 /// One row per process of recovery activity: GC folds, the stability
-/// floor and its lag (the unstable window), ack heartbeats, and the
-/// catch-up traffic in both roles (donor / joiner).
+/// floor and its lag (the unstable window), ack heartbeats, and what
+/// crash-stop discarded. Repair traffic is print_anti_entropy_table's.
 inline void print_recovery_table(
     std::ostream& os, const std::vector<StoreStats>& per_process) {
   TextTable t({"process", "gc folded", "floor", "floor lag", "acks",
-               "acks drop", "sync req", "sync served", "retries",
-               "snaps out", "snap bytes", "snaps in", "catchup keys",
-               "catchup entries", "dropped@crash"});
+               "acks drop", "dropped@crash"});
   StoreStats total;
   for (std::size_t p = 0; p < per_process.size(); ++p) {
     const StoreStats& s = per_process[p];
     t.add(p, s.gc_folded, s.stability_floor, s.stability_floor_lag,
-          s.acks_sent, s.acks_dropped_crash, s.sync_requests_sent,
-          s.sync_requests_served, s.sync_retries, s.snapshots_served,
-          s.snapshot_bytes_served, s.snapshots_installed, s.catchup_keys,
-          s.catchup_entries, s.entries_dropped_crash);
+          s.acks_sent, s.acks_dropped_crash, s.entries_dropped_crash);
     total.gc_folded += s.gc_folded;
     total.acks_sent += s.acks_sent;
     total.acks_dropped_crash += s.acks_dropped_crash;
-    total.sync_requests_sent += s.sync_requests_sent;
-    total.sync_requests_served += s.sync_requests_served;
-    total.sync_retries += s.sync_retries;
-    total.snapshots_served += s.snapshots_served;
-    total.snapshot_bytes_served += s.snapshot_bytes_served;
-    total.snapshots_installed += s.snapshots_installed;
-    total.catchup_keys += s.catchup_keys;
-    total.catchup_entries += s.catchup_entries;
     total.entries_dropped_crash += s.entries_dropped_crash;
   }
   t.add("total", total.gc_folded, "-", "-", total.acks_sent,
-        total.acks_dropped_crash, total.sync_requests_sent,
-        total.sync_requests_served, total.sync_retries,
-        total.snapshots_served, total.snapshot_bytes_served,
-        total.snapshots_installed, total.catchup_keys,
-        total.catchup_entries, total.entries_dropped_crash);
+        total.acks_dropped_crash, total.entries_dropped_crash);
   t.print(os);
 }
 
-/// One row per process of partition/anti-entropy activity: stream gaps
-/// observed, AE rounds in both roles, and the delta-codec economics
-/// (keys shipped vs skipped as clean, entries and bytes served).
+/// One row per process of repair activity: stream gaps observed, rounds
+/// in both roles (requester / donor, bootstrap rounds included), and
+/// the delta-codec economics (keys shipped vs skipped as clean, entries
+/// and bytes served).
 inline void print_anti_entropy_table(
     std::ostream& os, const std::vector<StoreStats>& per_process) {
   TextTable t({"process", "gaps", "ae started", "ae served", "ae done",

@@ -8,7 +8,9 @@
 // runs never collide. The loss test mirrors examples/cluster_node.cpp:
 // real datagrams are really dropped, SeqCoverage detects the seq gaps,
 // auto + rotating anti-entropy repairs them, and the stores' final
-// per-key states must agree exactly.
+// per-key states must agree exactly. The rejoin tests run a crash-restart
+// over the same sockets: a rebuilt node catches up through a bootstrap
+// anti-entropy round while its peers keep writing.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -25,6 +27,7 @@
 #include "adt/register.hpp"
 #include "store/udp_store.hpp"
 #include "test_seeds.hpp"
+#include "util/assert.hpp"
 #include "util/rng.hpp"
 
 namespace ucw {
@@ -103,7 +106,7 @@ TEST(UdpTransportTest, LargeSnapshotFragmentsAndReassembles) {
   auto ts = make_cluster(2, opts);
 
   BatchEnvelope<Reg, std::string> payload;
-  payload.kind = EnvelopeKind::kShardSnapshot;
+  payload.kind = EnvelopeKind::kAntiEntropyDelta;
   auto snap = std::make_shared<ShardSnapshot<Reg, std::string>>();
   snap->shard_count = 1;
   snap->donor_clock = 9;
@@ -374,6 +377,125 @@ TEST(UdpStoreTest, CleanWireUsesNoRepair) {
   // No loss, in-order localhost delivery: the repair path must be idle.
   EXPECT_EQ(stores[1]->stats().stream_gaps_detected, 0u);
   for (auto& n : nets) n->close_all();
+}
+
+// ------------------------------------------ crash-restart over the wire
+
+/// One rejoin run: three nodes write and drain, node 2's store and
+/// transport are destroyed and rebuilt on the same port under a new
+/// epoch, and node 2 catches up from node 0 while nodes 0 and 1 keep
+/// writing. Asserts as it goes; `*drops` reports the injected losses.
+void run_udp_rejoin(std::uint64_t seed, double drop, std::uint64_t* drops) {
+  using Store = UdpUcStore<Reg>;
+  constexpr std::size_t kN = 3;
+  constexpr std::size_t kKeys = 12;
+
+  std::vector<UdpTransportOptions> topts(kN);
+  for (std::size_t p = 0; p < kN; ++p) {
+    topts[p].drop = drop;
+    topts[p].fault_seed = splitmix64(seed ^ (0x4E501ULL + p));
+  }
+  auto nets = make_cluster(kN, topts);
+
+  StoreConfig cfg;
+  cfg.batch_window = 4;
+  cfg.gc = true;
+  cfg.auto_anti_entropy = true;
+  std::vector<std::unique_ptr<Store>> stores;
+  for (std::size_t p = 0; p < kN; ++p) {
+    stores.push_back(std::make_unique<Store>(
+        Reg{}, static_cast<ProcessId>(p), *nets[p], cfg));
+  }
+  Rng rng(seed);
+  std::int64_t tick = 0;
+  const auto write = [&](std::size_t p) {
+    const std::string key = "k" + std::to_string(rng.uniform_int(
+                                      0, static_cast<int>(kKeys) - 1));
+    (void)stores[p]->update(
+        key, Reg::write(static_cast<std::int64_t>(p + 1) * 1000000 + ++tick));
+  };
+  for (int i = 0; i < 40; ++i) {
+    for (std::size_t p = 0; p < kN; ++p) write(p);
+    if (i % 8 == 7) {
+      for (auto& s : stores) (void)s->flush();
+    }
+  }
+  ASSERT_TRUE(drain_until_converged(stores, kKeys, /*max_iters=*/4000))
+      << "no convergence before the restart";
+
+  // Crash node 2 and bring it back on the same port, next incarnation.
+  std::vector<UdpEndpoint> table(kN);
+  for (std::size_t p = 0; p < kN; ++p) table[p].port = nets[p]->local_port();
+  stores[2].reset();
+  nets[2]->close_all();
+  nets[2].reset();
+  topts[2].epoch = 2;
+  nets[2] = std::make_unique<Transport>(2, table, topts[2]);
+  ASSERT_TRUE(nets[2]->bound()) << "port " << table[2].port << " taken";
+  stores[2] = std::make_unique<Store>(Reg{}, 2, *nets[2], cfg);
+
+  ASSERT_TRUE(stores[2]->request_sync(0));
+  EXPECT_TRUE(stores[2]->bootstrapping());
+  EXPECT_TRUE(stores[2]->bootstrap_open());
+  // A fresh incarnation's clock would reuse pre-crash stamps.
+  EXPECT_THROW((void)stores[2]->update("k0", Reg::write(-1)), contract_error);
+
+  // Nodes 0 and 1 keep writing until the first install re-bases node
+  // 2's clock, then node 2 writes too.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (stores[2]->bootstrapping() &&
+         std::chrono::steady_clock::now() < deadline) {
+    write(0);
+    write(1);
+    for (auto& s : stores) {
+      (void)s->poll();
+      (void)s->flush();
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_FALSE(stores[2]->bootstrapping()) << "no install within 20 s";
+  for (int i = 0; i < 30; ++i) {
+    for (std::size_t p = 0; p < kN; ++p) write(p);
+    for (auto& s : stores) {
+      (void)s->poll();
+      (void)s->flush();
+    }
+  }
+  ASSERT_TRUE(drain_until_converged(stores, kKeys, /*max_iters=*/4000))
+      << "rejoined node did not converge";
+  EXPECT_FALSE(stores[2]->bootstrap_open());
+  const StoreStats joiner = stores[2]->stats();
+  EXPECT_GE(joiner.ae_rounds_completed, 1u);
+  EXPECT_GT(joiner.ae_snapshots_installed, 0u);
+  EXPECT_GT(stores[0]->stats().ae_rounds_served, 0u);
+  for (auto& n : nets) {
+    n->close_all();
+    *drops += n->stats().injected_drops;
+  }
+}
+
+TEST(UdpStoreTest, RestartedNodeRejoinsOverCleanWire) {
+  const auto seeds = ucw::test::property_seeds({41});
+  for (const std::uint64_t seed : seeds) {
+    SCOPED_TRACE(ucw::test::seed_trace(seed));
+    std::uint64_t drops = 0;
+    run_udp_rejoin(seed, /*drop=*/0.0, &drops);
+    EXPECT_EQ(drops, 0u);
+  }
+}
+
+TEST(UdpStoreTest, RestartedNodeRejoinsUnderLoss) {
+  // 2% drop hits the bootstrap exchange too: a lost request or delta
+  // stalls the round into a retry (possibly to node 1), and a lost live
+  // envelope shows up as a gap the round must prove or re-request.
+  const auto seeds = ucw::test::property_seeds({43, 47});
+  for (const std::uint64_t seed : seeds) {
+    SCOPED_TRACE(ucw::test::seed_trace(seed));
+    std::uint64_t drops = 0;
+    run_udp_rejoin(seed, /*drop=*/0.02, &drops);
+    EXPECT_GT(drops, 0u) << "fault injection never fired — test is vacuous";
+  }
 }
 
 }  // namespace

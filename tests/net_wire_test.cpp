@@ -1,7 +1,8 @@
-// Wire codec properties: every envelope kind round-trips exactly, and
-// the decoder survives hostile bytes.
+// Wire codec properties: every envelope kind a store sends round-trips
+// exactly, the retired kinds are rejected, and the decoder survives
+// hostile bytes.
 //
-// The round-trip half builds one representative envelope per
+// The round-trip half builds one representative envelope per sent
 // EnvelopeKind (populated fields, not defaults), encodes, decodes, and
 // compares field by field. The fuzz half mutates well-formed frames —
 // truncation, bit flips, bad magic/version/length/checksum — and
@@ -102,16 +103,6 @@ TEST(WireCodecTest, HeartbeatRoundTrip) {
   EXPECT_TRUE(d.entries.empty());
 }
 
-TEST(WireCodecTest, SyncRequestRoundTrip) {
-  Env e;
-  e.kind = EnvelopeKind::kSyncRequest;
-  e.epoch = 9;
-  e.sync_markers = {5, 0, 12, 3};
-  e.sync_markers_epoch = 8;
-  const Env d = decode_ok(encode(e));
-  expect_same_header(e, d);
-}
-
 Env snapshot_envelope(EnvelopeKind kind) {
   Env e;
   e.kind = kind;
@@ -181,19 +172,14 @@ void expect_same_snapshot(const Env& a, const Env& b) {
   }
 }
 
-TEST(WireCodecTest, ShardSnapshotRoundTrip) {
-  const Env e = snapshot_envelope(EnvelopeKind::kShardSnapshot);
-  const Env d = decode_ok(encode(e));
-  expect_same_header(e, d);
-  expect_same_snapshot(e, d);
-}
-
 TEST(WireCodecTest, AntiEntropyRequestRoundTrip) {
   Env e;
   e.kind = EnvelopeKind::kAntiEntropyRequest;
   e.epoch = 4;
   e.ae_reciprocate = true;
   e.ae_floors = {100, 0, 250};
+  e.sync_markers = {5, 0, 12, 3};
+  e.sync_markers_epoch = 8;
   const Env d = decode_ok(encode(e));
   expect_same_header(e, d);
 }
@@ -228,6 +214,23 @@ TEST(WireCodecTest, RejectsInvalidKind) {
   EXPECT_FALSE(w::decode_envelope(bytes.data(), bytes.size(), &out));
 }
 
+TEST(WireCodecTest, RejectsRetiredSyncKinds) {
+  // Kind bytes 1 and 2 were the catch-up pair (sync request, shard
+  // snapshot); catch-up now runs as a bootstrap anti-entropy round, so
+  // no store sends them and the decoder treats them as invalid — even
+  // wrapped around an otherwise well-formed payload.
+  for (const std::uint8_t kind : {std::uint8_t{1}, std::uint8_t{2}}) {
+    std::vector<std::uint8_t> bytes =
+        encode(snapshot_envelope(EnvelopeKind::kAntiEntropyDelta));
+    bytes[0] = kind;
+    Env out;
+    const char* err = nullptr;
+    EXPECT_FALSE(w::decode_envelope(bytes.data(), bytes.size(), &out, &err))
+        << "kind byte " << int{kind};
+    EXPECT_STREQ(err, "invalid envelope kind");
+  }
+}
+
 TEST(WireCodecTest, RejectsOverclaimedEntryCount) {
   // kind + epoch/seq/ack + a count claiming 2^31 entries, then nothing.
   std::vector<std::uint8_t> bytes;
@@ -244,7 +247,7 @@ TEST(WireCodecTest, RejectsOverclaimedEntryCount) {
 }
 
 TEST(WireCodecTest, RejectsEveryTruncation) {
-  const Env e = snapshot_envelope(EnvelopeKind::kShardSnapshot);
+  const Env e = snapshot_envelope(EnvelopeKind::kAntiEntropyDelta);
   const std::vector<std::uint8_t> bytes = encode(e);
   Env out;
   for (std::size_t n = 0; n < bytes.size(); ++n) {
@@ -356,7 +359,10 @@ TEST(WireFrameTest, RejectsBadMagicVersionLengthChecksum) {
 /// A random well-formed envelope: fuzz corpus element.
 Env random_envelope(Rng& rng) {
   Env e;
-  e.kind = static_cast<EnvelopeKind>(rng.uniform_int(0, 4));
+  constexpr EnvelopeKind kKinds[] = {EnvelopeKind::kBatch,
+                                     EnvelopeKind::kAntiEntropyRequest,
+                                     EnvelopeKind::kAntiEntropyDelta};
+  e.kind = kKinds[static_cast<std::size_t>(rng.uniform_int(0, 2))];
   e.epoch = static_cast<std::uint64_t>(rng.uniform_int(0, 1 << 20));
   e.seq = static_cast<std::uint64_t>(rng.uniform_int(0, 1 << 20));
   e.ack_clock = static_cast<std::uint64_t>(rng.uniform_int(0, 1 << 20));
@@ -489,12 +495,15 @@ TEST(WireFuzzTest, MutatedFramesNeverCrashNeverSilentlyAccept) {
             << round << ")";
       }
       // Hostile-but-checksummed payload: decode must not crash. Either
-      // verdict is fine; a success must at least yield a valid kind.
+      // verdict is fine; a success must at least yield a kind a store
+      // sends (never a retired one).
       Env out;
       const char* err = nullptr;
       if (w::decode_envelope(body, h.payload_len, &out, &err)) {
         EXPECT_LE(static_cast<std::uint8_t>(out.kind),
                   static_cast<std::uint8_t>(EnvelopeKind::kAntiEntropyDelta));
+        EXPECT_NE(out.kind, EnvelopeKind::kSyncRequest);
+        EXPECT_NE(out.kind, EnvelopeKind::kShardSnapshot);
       }
     }
   }

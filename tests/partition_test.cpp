@@ -7,7 +7,7 @@
 // ship measurably less than full shards), asymmetric three-way heals,
 // the ack-gating soundness property (a gapped stream must freeze the GC
 // floor until anti-entropy re-proves coverage), a partition crossing an
-// open catch-up session, updates racing the heal exchange — and finally
+// open bootstrap round, updates racing the heal exchange — and finally
 // the harness-level PartitionPlan plumbing. Everything is seeded and
 // virtual-time deterministic: a failure reproduces bit-for-bit.
 #include <gtest/gtest.h>
@@ -495,13 +495,13 @@ TEST(PartitionTest, AutoAntiEntropyRepairsGapsFromTheFlushTick) {
   EXPECT_EQ(a.state_of("t"), b.state_of("t"));
 }
 
-// ----- partition across an open catch-up session ----------------------
+// ----- partition across an open bootstrap round -----------------------
 
-TEST(PartitionTest, CatchupSessionSurvivesPartitionAndGcStaysPaused) {
+TEST(PartitionTest, BootstrapRoundSurvivesPartitionAndGcStaysPaused) {
   SimScheduler sched;
   SimNetwork<Env> net(sched, fifo_net_config(3));
   StoreConfig scfg = gc_store_config();
-  scfg.sync_patience_ticks = 1;  // ticks are driven by hand below
+  scfg.ae_patience_ticks = 1;  // ticks are driven by hand below
   std::vector<std::unique_ptr<Store>> stores;
   for (ProcessId p = 0; p < 3; ++p) {
     stores.push_back(std::make_unique<Store>(S{}, p, net, scfg));
@@ -515,7 +515,7 @@ TEST(PartitionTest, CatchupSessionSurvivesPartitionAndGcStaysPaused) {
 
   // Isolate the joiner the instant it asks: the request is dropped
   // cross-group, every stall-retry rotation lands on an unreachable
-  // donor, and the session stays open for the whole split. The joiner
+  // donor, and the round stays open for the whole split. The joiner
   // is still bootstrapping (reads stay available, updates refused), so
   // only the majority side issues traffic.
   net.partition({0, 0, 1});
@@ -530,31 +530,31 @@ TEST(PartitionTest, CatchupSessionSurvivesPartitionAndGcStaysPaused) {
     sched.run();
   };
   for (int r = 0; r < 5; ++r) majority_round(100 + 10 * r);
-  EXPECT_NE(stores[2]->sync_state(), Store::SyncState::kLive);
-  EXPECT_EQ(stores[2]->stats().snapshots_installed, 0u);
-  EXPECT_GT(stores[2]->stats().sync_retries, 0u);
-  // GC is paused while the session is open — the load-bearing pause:
+  EXPECT_TRUE(stores[2]->bootstrap_open());
+  EXPECT_EQ(stores[2]->stats().ae_snapshots_installed, 0u);
+  EXPECT_GT(stores[2]->stats().ae_rounds_started, 1u);  // retried
+  // GC is paused while the round is open — the load-bearing pause:
   // the joiner's floor must not move on untrusted rows.
   EXPECT_EQ(stores[2]->stats().stability_floor, 0u);
   EXPECT_EQ(stores[2]->stats().gc_folded, 0u);
 
-  // Heal. The very next stall retry reaches a live donor; the session
-  // completes through its own machinery (no anti-entropy involved —
-  // anti_entropy_round is refused while the session owns recovery).
+  // Heal. The very next stall retry reaches a live donor; the round
+  // completes through its own retries (no other round involved —
+  // anti_entropy_round is refused while the bootstrap round is open).
   net.heal();
   EXPECT_FALSE(stores[2]->anti_entropy_round(0));
   for (int r = 0; r < 6; ++r) majority_round(200 + 10 * r);
-  ASSERT_EQ(stores[2]->sync_state(), Store::SyncState::kLive);
+  ASSERT_FALSE(stores[2]->bootstrap_open());
+  EXPECT_EQ(stores[2]->stats().ae_rounds_completed, 1u);
   drive_rounds(sched, stores, net, 3, 400);
-  EXPECT_EQ(stores[2]->stats().syncs_completed, 1u);
-  EXPECT_GT(stores[2]->stats().snapshots_installed, 0u);
+  EXPECT_GT(stores[2]->stats().ae_snapshots_installed, 0u);
   for (int k = 0; k < 7; ++k) {
     const std::string key = "k" + std::to_string(k);
     const auto want = stores[0]->state_of(key);
     EXPECT_EQ(stores[1]->state_of(key), want) << key;
     EXPECT_EQ(stores[2]->state_of(key), want) << key;
   }
-  // And with the session retired, GC resumes at the rejoined store.
+  // And with the round complete, GC resumes at the rejoined store.
   EXPECT_GT(stores[2]->stats().stability_floor, 0u);
 }
 

@@ -1,5 +1,5 @@
 // Recovery subsystem: store-level stability, log compaction, snapshot
-// shipping and crash-restart catch-up.
+// shipping and crash-restart catch-up (a bootstrap anti-entropy round).
 //
 // Layered like the subsystem itself: tracker and log primitives first,
 // then the snapshot codec round trip, then live StoreCore clusters on
@@ -338,15 +338,20 @@ TEST(CatchupTest, CrashRestartRejoinsViaSnapshotsAndConverges) {
   EXPECT_EQ(net.epoch(2), 1u);
   stores[2] = std::make_unique<Store>(S{}, 2, net, scfg);
   ASSERT_TRUE(stores[2]->request_sync(0));
-  EXPECT_EQ(stores[2]->sync_state(), Store::SyncState::kSyncing);
+  EXPECT_TRUE(stores[2]->bootstrap_open());
   sched.run();  // request → serve → install
 
-  EXPECT_EQ(stores[2]->stats().snapshots_installed, scfg.shard_count);
+  EXPECT_EQ(stores[2]->stats().ae_snapshots_installed, scfg.shard_count);
   EXPECT_FALSE(stores[2]->bootstrapping());
+  // GC is paused while the round is open, so a positive floor here is
+  // a compacted donor base: the donor folded before serving.
+  const auto* rep = stores[2]->shard_of("k0").find("k0");
+  ASSERT_NE(rep, nullptr);
+  EXPECT_GT(rep->log().floor(), 0u);
   // Live traffic from both survivors verifies their streams gap-free.
   drive_rounds(sched, stores, net, 4, 2000);
-  EXPECT_EQ(stores[2]->sync_state(), Store::SyncState::kLive);
-  EXPECT_EQ(stores[2]->stats().syncs_completed, 1u);
+  EXPECT_FALSE(stores[2]->bootstrap_open());
+  EXPECT_GE(stores[2]->stats().ae_rounds_completed, 1u);
 
   for (int k = 0; k < 7; ++k) {
     const std::string key = "k" + std::to_string(k);
@@ -356,8 +361,7 @@ TEST(CatchupTest, CrashRestartRejoinsViaSnapshotsAndConverges) {
   }
   // The donor compacted before serving: the catch-up replayed an
   // unstable suffix, not the whole pre-crash history.
-  EXPECT_GT(stores[2]->stats().catchup_keys, 0u);
-  EXPECT_LT(stores[2]->stats().catchup_entries, history_before);
+  EXPECT_LT(stores[2]->stats().ae_entries_installed, history_before);
 }
 
 TEST(CatchupTest, BootstrappingStoreRefusesUpdatesUntilFirstSnapshot) {
@@ -387,10 +391,10 @@ TEST(CatchupTest, BootstrappingStoreRefusesUpdatesUntilFirstSnapshot) {
   EXPECT_EQ(stores[0]->state_of("k0"), stores[1]->state_of("k0"));
 }
 
-TEST(CatchupTest, SessionRetiresInQuietClusterWithoutLiveTraffic) {
+TEST(CatchupTest, BootstrapRoundCompletesInQuietClusterWithoutLiveTraffic) {
   // Nobody updates after the serve: the donor's own stream is settled by
   // construction and the other peers' by the in-flight check, so the
-  // session retires on the first batch instead of re-requesting forever
+  // round completes on the first batch instead of re-requesting forever
   // (and GC resumes at the joiner).
   SimScheduler sched;
   SimNetwork<Env> net(sched, fifo_net_config(2));
@@ -406,14 +410,14 @@ TEST(CatchupTest, SessionRetiresInQuietClusterWithoutLiveTraffic) {
   stores[1] = std::make_unique<Store>(S{}, 1, net, scfg);
   ASSERT_TRUE(stores[1]->request_sync(0));
   sched.run();
-  EXPECT_EQ(stores[1]->sync_state(), Store::SyncState::kLive);
-  EXPECT_EQ(stores[1]->stats().syncs_completed, 1u);
-  const std::uint64_t requests = stores[1]->stats().sync_requests_sent;
+  EXPECT_FALSE(stores[1]->bootstrap_open());
+  EXPECT_EQ(stores[1]->stats().ae_rounds_completed, 1u);
+  const std::uint64_t requests = stores[1]->stats().ae_rounds_started;
   for (int i = 0; i < 10; ++i) {
     for (auto& s : stores) (void)s->flush();
     sched.run();
   }
-  EXPECT_EQ(stores[1]->stats().sync_requests_sent, requests);
+  EXPECT_EQ(stores[1]->stats().ae_rounds_started, requests);
   EXPECT_EQ(stores[1]->state_of("k0"), stores[0]->state_of("k0"));
 }
 
@@ -443,7 +447,7 @@ TEST(CatchupTest, GcFreeJoinerAbsorbsBelowFloorAfterCompactedSnapshot) {
   stores[2] = std::make_unique<Store>(S{}, 2, net, plain_cfg);
   ASSERT_TRUE(stores[2]->request_sync(0));
   sched.run();
-  ASSERT_GT(stores[2]->stats().snapshots_installed, 0u);
+  ASSERT_GT(stores[2]->stats().ae_snapshots_installed, 0u);
   const auto* rep = stores[2]->shard_of("k0").find("k0");
   ASSERT_NE(rep, nullptr);
   ASSERT_GT(rep->log().floor(), 1u);
@@ -468,7 +472,7 @@ TEST(CatchupTest, RequestSyncRetriesWhenDonorCrashes) {
   SimScheduler sched;
   SimNetwork<Env> net(sched, fifo_net_config(3));
   StoreConfig scfg = gc_store_config();
-  scfg.sync_patience_ticks = 1;  // the test drives ticks by hand
+  scfg.ae_patience_ticks = 1;  // the test drives ticks by hand
   std::vector<std::unique_ptr<Store>> stores;
   for (ProcessId p = 0; p < 3; ++p) {
     stores.push_back(std::make_unique<Store>(S{}, p, net, scfg));
@@ -483,11 +487,11 @@ TEST(CatchupTest, RequestSyncRetriesWhenDonorCrashes) {
   net.crash(1);
   ASSERT_TRUE(stores[2]->request_sync(1));
   sched.run();
-  EXPECT_EQ(stores[2]->stats().snapshots_installed, 0u);
+  EXPECT_EQ(stores[2]->stats().ae_snapshots_installed, 0u);
   (void)stores[2]->flush();  // housekeeping: stalled → retarget to 0
   sched.run();
-  EXPECT_GT(stores[2]->stats().sync_retries, 0u);
-  EXPECT_EQ(stores[2]->stats().snapshots_installed, scfg.shard_count);
+  EXPECT_EQ(stores[2]->stats().ae_rounds_started, 2u);  // one rotation
+  EXPECT_EQ(stores[2]->stats().ae_snapshots_installed, scfg.shard_count);
   drive_rounds(sched, stores, net, 3, 500);
   for (int k = 0; k < 7; ++k) {
     const std::string key = "k" + std::to_string(k);
@@ -530,8 +534,10 @@ TEST(CatchupTest, SecondSyncRoundShipsDeltaNotEveryShardInFull) {
   ASSERT_TRUE(stores[2]->request_sync(0));
   sched.run();
   touch(2000, 2);
-  ASSERT_EQ(stores[2]->sync_state(), Store::SyncState::kLive);
-  const std::uint64_t bytes_round1 = stores[0]->stats().snapshot_bytes_served;
+  ASSERT_FALSE(stores[2]->bootstrap_open());
+  const std::uint64_t completed_round1 =
+      stores[2]->stats().ae_rounds_completed;
+  const std::uint64_t bytes_round1 = stores[0]->stats().ae_bytes_served;
   const std::uint64_t keys_round1 = stores[0]->stats().snapshot_keys_served;
   ASSERT_GT(bytes_round1, 0u);
 
@@ -541,10 +547,10 @@ TEST(CatchupTest, SecondSyncRoundShipsDeltaNotEveryShardInFull) {
   ASSERT_TRUE(stores[2]->request_sync(0));
   sched.run();
   touch(4000, 2);
-  EXPECT_EQ(stores[2]->sync_state(), Store::SyncState::kLive);
-  EXPECT_EQ(stores[2]->stats().syncs_completed, 2u);
+  EXPECT_FALSE(stores[2]->bootstrap_open());
+  EXPECT_GT(stores[2]->stats().ae_rounds_completed, completed_round1);
   const std::uint64_t bytes_round2 =
-      stores[0]->stats().snapshot_bytes_served - bytes_round1;
+      stores[0]->stats().ae_bytes_served - bytes_round1;
   const std::uint64_t keys_round2 =
       stores[0]->stats().snapshot_keys_served - keys_round1;
   EXPECT_LT(bytes_round2, bytes_round1 / 2);
@@ -576,11 +582,11 @@ TEST(CatchupHarnessTest, RestartPlanRejoinsAndConverges) {
   EXPECT_TRUE(out.converged);
   EXPECT_EQ(out.net.restarts, 1u);
   // The rejoined store really went through snapshot install.
-  EXPECT_GT(out.store_stats[2].snapshots_installed, 0u);
-  EXPECT_GT(out.store_stats[2].catchup_keys, 0u);
+  EXPECT_GT(out.store_stats[2].ae_snapshots_installed, 0u);
+  EXPECT_GT(out.store_stats[2].ae_entries_installed, 0u);
   // Someone served it.
   std::uint64_t served = 0;
-  for (const auto& s : out.store_stats) served += s.snapshots_served;
+  for (const auto& s : out.store_stats) served += s.ae_rounds_served;
   EXPECT_GT(served, 0u);
   // GC kept the resident logs bounded on top of all that.
   std::uint64_t folded = 0;

@@ -275,7 +275,7 @@ TEST(StorePropertyTest, ConvergesThroughCrashRestartInterleavings) {
         << (out.diverged_keys.empty() ? "?" : out.diverged_keys.front());
     EXPECT_EQ(out.net.restarts, 1u);
     EXPECT_GT(out.net.messages_duplicated, 0u);
-    EXPECT_GT(out.store_stats[1].snapshots_installed, 0u);
+    EXPECT_GT(out.store_stats[1].ae_snapshots_installed, 0u);
   }
 }
 
@@ -311,12 +311,13 @@ TEST(StorePropertyTest, CatchUpTransfersSuffixNotHistory) {
   ASSERT_GT(compacted.total_updates, 9'000u);
   const StoreStats& joiner = compacted.store_stats[3];
   const StoreStats& joiner_full = full.store_stats[3];
-  ASSERT_GT(joiner.snapshots_installed, 0u);
-  ASSERT_GT(joiner_full.snapshots_installed, 0u);
+  ASSERT_GT(joiner.ae_snapshots_installed, 0u);
+  ASSERT_GT(joiner_full.ae_snapshots_installed, 0u);
   // GC'd catch-up ships the unstable suffix only: a small fraction of
   // the history, and far less than the uncompacted control transfers.
-  EXPECT_LT(joiner.catchup_entries * 5, compacted.total_updates);
-  EXPECT_GT(joiner_full.catchup_entries, joiner.catchup_entries * 5);
+  EXPECT_LT(joiner.ae_entries_installed * 5, compacted.total_updates);
+  EXPECT_GT(joiner_full.ae_entries_installed,
+            joiner.ae_entries_installed * 5);
   // And the steady-state logs stay bounded cluster-wide.
   EXPECT_LT(compacted.log_entries_resident * 2, full.log_entries_resident);
 }

@@ -2,10 +2,9 @@
 // indistinguishable, per key, from the single-owner store and from the
 // Sim transport. Four layers:
 //
-//  1. The rings themselves: SPSC (FIFO, wraparound, cross-thread
-//     handoff) and MPSC (per-producer FIFO under producer contention,
-//     back-pressure when full) — the MPSC per-producer guarantee is
-//     what read-your-writes and the stream guard lean on.
+//  1. The MPSC ring itself: per-producer FIFO under producer
+//     contention, back-pressure when full — the per-producer guarantee
+//     is what read-your-writes and the stream guard lean on.
 //  2. The shard→worker assignment: a pure function of key and config,
 //     disjoint across workers and stable across restarts — what lets a
 //     restarted process (or any replica of the config) route a key to
@@ -37,7 +36,6 @@
 #include "store/all.hpp"
 #include "util/mpsc_ring.hpp"
 #include "util/rng.hpp"
-#include "util/spsc_ring.hpp"
 
 namespace ucw {
 namespace {
@@ -45,47 +43,8 @@ namespace {
 using S = SetAdt<int>;
 using TS = ThreadUcStore<S>;
 
-TEST(SpscRingTest, FifoAndWraparound) {
-  SpscRing<int> ring(8);
-  for (int round = 0; round < 5; ++round) {  // wraps the index mask
-    for (int i = 0; i < 8; ++i) {
-      EXPECT_TRUE(ring.try_push(round * 8 + i));
-    }
-    int overflow = 999;
-    EXPECT_FALSE(ring.try_push(std::move(overflow)));  // full: back-pressure
-    for (int i = 0; i < 8; ++i) {
-      auto v = ring.try_pop();
-      ASSERT_TRUE(v.has_value());
-      EXPECT_EQ(*v, round * 8 + i);
-    }
-    EXPECT_FALSE(ring.try_pop().has_value());
-    EXPECT_TRUE(ring.empty());
-  }
-}
-
-TEST(SpscRingTest, CrossThreadHandoffKeepsOrder) {
-  SpscRing<std::uint64_t> ring(64);
-  constexpr std::uint64_t kN = 20'000;
-  std::thread consumer([&] {
-    std::uint64_t expect = 0;
-    while (expect < kN) {
-      if (auto v = ring.try_pop()) {
-        ASSERT_EQ(*v, expect);
-        ++expect;
-      } else {
-        std::this_thread::yield();
-      }
-    }
-  });
-  for (std::uint64_t i = 0; i < kN; ++i) {
-    std::uint64_t v = i;
-    while (!ring.try_push(std::move(v))) std::this_thread::yield();
-  }
-  consumer.join();
-}
-
 TEST(MpscRingTest, FifoAndBackpressureSingleProducer) {
-  // Degenerate single-producer use behaves like the SPSC ring.
+  // Degenerate single-producer use: plain FIFO with back-pressure.
   MpscRing<int> ring(8);
   for (int round = 0; round < 5; ++round) {  // wraps the slot sequences
     for (int i = 0; i < 8; ++i) {
