@@ -1,19 +1,16 @@
-// E12 — Anti-entropy: heal-reconciliation cost vs partition duration,
-// full-snapshot vs delta shipping.
+// E12 — Anti-entropy: heal-reconciliation cost vs partition duration.
 //
 // Sweeps how long a {0,1} / {2,3} split stays open on a fixed 500-key
 // zipfian keyspace with both sides writing throughout, then heals and
 // lets the anti-entropy machinery (heal-time representative pulls plus
-// the flush-tick gap-triggered rounds) reconcile. Two arms per
-// duration: incremental snapshots on (deltas against the requesters'
-// echoed markers) and off (every exchange re-ships every shard in
-// full). The headline columns: entries/bytes served by anti-entropy
-// donors grow with the *divergence* (partition duration) in the delta
-// arm, but with divergence *plus* the whole keyspace per round in the
-// full arm — and the "keys skipped" column is exactly the wire traffic
-// the dirty-sets saved. Reconciliation cost is what a capacity planner
-// needs to budget for a heal storm; the delta codec is what keeps it
-// proportional to the split, not the store.
+// the flush-tick gap-triggered rounds) reconcile. Donors serve delta
+// snapshots against the requesters' echoed markers. The headline
+// columns: entries/bytes served by anti-entropy donors grow with the
+// *divergence* (partition duration), and the "keys skipped" column is
+// the wire traffic the dirty-sets saved over re-shipping every shard.
+// Reconciliation cost is what a capacity planner needs to budget for a
+// heal storm; the delta codec is what keeps it proportional to the
+// split, not the store.
 #include "bench_common.hpp"
 
 #include <chrono>
@@ -31,7 +28,7 @@ struct SweepResult {
   double wall_seconds = 0.0;
 };
 
-SweepResult run_point(SimTime split_duration, bool incremental) {
+SweepResult run_point(SimTime split_duration) {
   StoreRunConfig cfg;
   cfg.n_processes = 4;
   cfg.seed = 19;
@@ -43,7 +40,6 @@ SweepResult run_point(SimTime split_duration, bool incremental) {
   cfg.think_time = LatencyModel::exponential(100.0);
   cfg.store.batch_window = 8;
   cfg.store.gc = true;
-  cfg.store.incremental_snapshots = incremental;
   cfg.flush_period = 1'000.0;
   // Expected span ~150ms of virtual time; split opens at 20% and stays
   // open for the swept duration (both sides keep writing throughout).
@@ -70,39 +66,34 @@ void print_tables() {
                "E12: heal reconciliation vs partition duration (4 procs, "
                "500-key zipf 0.99, window 8, flush tick 1ms, split at "
                "30ms)");
-  TextTable t({"split (virtual ms)", "mode", "dropped msgs", "ae rounds",
+  TextTable t({"split (virtual ms)", "dropped msgs", "ae rounds",
                "ae entries out", "ae bytes out", "keys served",
                "keys skipped", "converged", "wall s"});
-  SweepResult largest_delta;
+  SweepResult longest;
   for (const SimTime duration : {10'000.0, 40'000.0, 80'000.0}) {
-    for (const bool incremental : {true, false}) {
-      SweepResult r = run_point(duration, incremental);
-      std::uint64_t rounds = 0, entries = 0, bytes = 0, served = 0,
-                    skipped = 0;
-      for (const auto& s : r.out.store_stats) {
-        rounds += s.ae_rounds_completed;
-        entries += s.ae_entries_served;
-        bytes += s.ae_bytes_served;
-        served += s.snapshot_keys_served;
-        skipped += s.snapshot_keys_skipped_delta;
-      }
-      t.add(duration / 1'000.0, incremental ? "delta" : "full",
-            r.out.net.messages_dropped_partition, rounds, entries, bytes,
-            served, skipped, r.out.converged ? "yes" : "NO",
-            r.wall_seconds);
-      if (incremental) largest_delta = std::move(r);
+    SweepResult r = run_point(duration);
+    std::uint64_t rounds = 0, entries = 0, bytes = 0, served = 0,
+                  skipped = 0;
+    for (const auto& s : r.out.store_stats) {
+      rounds += s.ae_rounds_completed;
+      entries += s.ae_entries_served;
+      bytes += s.ae_bytes_served;
+      served += s.snapshot_keys_served;
+      skipped += s.snapshot_keys_skipped_delta;
     }
+    t.add(duration / 1'000.0, r.out.net.messages_dropped_partition, rounds,
+          entries, bytes, served, skipped, r.out.converged ? "yes" : "NO",
+          r.wall_seconds);
+    longest = std::move(r);
   }
   t.print(std::cout);
-  std::cout << "\nBoth arms reconcile the same divergence; the delta arm "
-               "ships only the keys whose logs advanced since each "
+  std::cout << "\nDonors ship only the keys whose logs advanced since each "
                "requester's last install ('keys skipped' never hit the "
-               "wire), so its heal cost tracks the split duration while "
-               "the full arm re-pays the whole keyspace every round.\n\n";
+               "wire), so the heal cost tracks the split duration rather "
+               "than the size of the keyspace.\n\n";
 
-  print_banner(std::cout,
-               "E12b: observability report (longest split, delta arm)");
-  obs::print_observability(std::cout, largest_delta.out.report);
+  print_banner(std::cout, "E12b: observability report (longest split)");
+  obs::print_observability(std::cout, longest.out.report);
 }
 
 // Microbench: donor-side cost of cutting one shard's snapshot at

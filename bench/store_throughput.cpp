@@ -13,8 +13,9 @@
 // with its shard engines spread across a worker pool (`--workers=` to
 // choose the sweep points, default 1,2,4,8). Each process's owner
 // thread issues a zipfian counter workload through the pooled API while
-// remote envelopes are routed to the owning workers; the table reports
-// cluster ops/sec and the speedup over the 1-worker single-owner store.
+// remote entries are delivered straight into the owning workers'
+// inboxes; the table reports cluster ops/sec and the speedup over the
+// 1-worker single-owner store.
 // The speedup needs real cores: on a 1-core host the sweep degenerates
 // to context-switch overhead (the table prints the detected core count
 // so the numbers read honestly).

@@ -13,8 +13,9 @@
 //   * the StoreStabilityTracker and the GC sweep driver (the floor is
 //     one number per store; engines only fold to it);
 //   * the repair rounds, per-sender stream views, and the (epoch, seq)
-//     envelope stream — seq is atomic so concurrent worker flushes
-//     still draw unique positions;
+//     envelope stream — a seq is drawn and its envelope sent under one
+//     lock, so concurrent worker flushes and the router's heartbeat put
+//     their envelopes on the wire in seq order;
 //   * envelope assembly: a flush drains the pending buffers of a set of
 //     engines (all of them here; one worker's subset in a pool) into a
 //     single broadcast.
@@ -76,6 +77,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <utility>
@@ -245,10 +247,9 @@ class StoreCore {
     Engine& eng = engine_of(key);
     eng.local_update(key, UpdateMessage<A>{stamp, std::move(u), {}});
     ++pending_total_;
-    const bool full = config_.adaptive_window
-                          ? eng.window_filled()
-                          : pending_total_ >= config_.batch_window;
-    if (full) flush_now(FlushCause::kWindowFull);
+    if (pending_total_ >= config_.batch_window) {
+      flush_now(FlushCause::kWindowFull);
+    }
     return stamp;
   }
 
@@ -287,11 +288,11 @@ class StoreCore {
   }
 
   /// Ships the pending batch, if any, then runs the recovery tick:
-  /// re-size adaptive windows, piggyback/heartbeat the stability ack,
-  /// fold the stable prefix across the dirty engines, and pace the
-  /// repair rounds. Returns entries flushed (dropped-on-crash entries
-  /// are not "flushed"). Never waits on receivers — the cost is the
-  /// per-peer enqueue. Owner thread; shadowed pooled.
+  /// piggyback/heartbeat the stability ack, fold the stable prefix
+  /// across the dirty engines, and pace the repair rounds. Returns
+  /// entries flushed (dropped-on-crash entries are not "flushed").
+  /// Never waits on receivers — the cost is the per-peer enqueue. Owner
+  /// thread; shadowed pooled.
   std::size_t flush() {
     for (auto& e : engines_) e->on_flush_tick();
     const std::size_t flushed = flush_now(FlushCause::kManual);
@@ -526,7 +527,11 @@ class StoreCore {
   /// of them on the single-owner path, one worker's subset in a pool —
   /// charging the wire accounting to `st` (the router's stats here, a
   /// worker's slice in a pool; distinct slices keep concurrent flushes
-  /// race-free). The (epoch, seq) stream position is drawn atomically.
+  /// race-free). The (epoch, seq) stream position is drawn under
+  /// `send_mutex_` together with the broadcast, so the sender's stream
+  /// leaves in seq order even with several pool workers flushing: a
+  /// draw and a send that raced would let a receiver see n+1 before n,
+  /// count a gap, and pay for a repair round nothing needed.
   ///
   /// `piggyback_ack` is the FIFO-honesty switch. The ack contract is
   /// "everything this *process* ever broadcast with a stamp <= t has
@@ -575,7 +580,6 @@ class StoreCore {
     env.epoch = epoch_;
     env.entries.reserve(n);
     for (Engine* e : engines) e->drain_pending(env.entries);
-    env.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
     if (piggyback_ack) {
       // Piggybacked on every single-owner envelope: the ack is
       // receiver-side knowledge ("under FIFO, I now hold everything
@@ -595,7 +599,11 @@ class StoreCore {
     st.entries_sent += n;
     st.bytes_batched += wire_size(env);
     st.bytes_unbatched += unbatched_wire_size(env);
-    net_->broadcast_others(pid_, env);
+    {
+      std::lock_guard send_lock(send_mutex_);
+      env.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
+      net_->broadcast_others(pid_, env);
+    }
     if (obs_ && obs_->tracer) {
       obs_->tracer->end(track, obs::TraceEventKind::kBatchFlush, n, env.seq);
     }
@@ -778,12 +786,10 @@ class StoreCore {
     req.epoch = epoch_;
     req.seq = r.round;  // p2p kinds reuse seq as the round token
     req.ae_reciprocate = reciprocate;
-    if (config_.incremental_snapshots) {
-      // A fresh joiner's markers are all zero, so its first round is
-      // always full; a retry ships only what advanced since.
-      req.sync_markers = snap_markers_[peer];
-      req.sync_markers_epoch = snap_marker_epochs_[peer];
-    }
+    // A fresh joiner's markers are all zero, so its first round is
+    // always full; a retry ships only what advanced since.
+    req.sync_markers = snap_markers_[peer];
+    req.sync_markers_epoch = snap_marker_epochs_[peer];
     // Coverage summary on the wire: ship our stability rows so the
     // donor can skip suffix entries we provably received live (rows
     // are raised only by gap-gated first-hand acks, so "stamp.clock
@@ -823,7 +829,7 @@ class StoreCore {
   /// then one snapshot per engine — full, or a delta from the
   /// requester's echoed markers when they are for this incarnation (a
   /// restarted donor's counters restart at zero, so stale-epoch markers
-  /// must not be trusted) and incremental shipping is on.
+  /// must not be trusted).
   void ship_snapshots(ProcessId requester, std::uint64_t round,
                       const std::vector<std::uint64_t>& markers,
                       std::uint64_t markers_epoch,
@@ -834,9 +840,8 @@ class StoreCore {
     // suffix and re-inflate the receiver's install cost.
     (void)collect_garbage();
     if (gc_floor_ > 0) (void)gc_sweep(gc_floor_, 0);
-    const bool deltas = config_.incremental_snapshots &&
-                        markers_epoch == epoch_ &&
-                        markers.size() == engines_.size();
+    const bool deltas =
+        markers_epoch == epoch_ && markers.size() == engines_.size();
     const auto coverage = build_coverage();
     for (std::size_t i = 0; i < engines_.size(); ++i) {
       auto snap = std::make_shared<Snapshot>(engines_[i]->encode_snapshot(
@@ -1190,14 +1195,19 @@ class StoreCore {
     Envelope ack;
     ack.kind = EnvelopeKind::kBatch;
     ack.epoch = epoch_;
-    ack.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
     ack.ack_clock = ack_clock;
     // FAULT kAckOverstatesClock: heartbeat twin of the flush-path
     // perversion — vouch for a stamp not yet broadcast.
     if (config_.fault.is(Fault::kAckOverstatesClock)) ack.ack_clock += 1;
     raise_last_ack(ack.ack_clock);
     ++stats_.acks_sent;
-    net_->broadcast_others(pid_, ack);
+    {
+      // Same critical section as flush_engines: pool workers may be
+      // flushing while the router heartbeats.
+      std::lock_guard send_lock(send_mutex_);
+      ack.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
+      net_->broadcast_others(pid_, ack);
+    }
     if (obs_ && obs_->tracer) {
       obs_->tracer->instant(0, obs::TraceEventKind::kAckHeartbeat, ack_clock);
     }
@@ -1334,7 +1344,13 @@ class StoreCore {
   std::vector<std::unique_ptr<Engine>> engines_;
   std::vector<Engine*> engine_ptrs_;  ///< the all-engines flush set
   std::uint64_t epoch_ = 0;
+  /// Next stream seq. Drawn only under send_mutex_; atomic so that
+  /// build_coverage may read it without the lock.
   std::atomic<std::uint64_t> next_seq_{0};
+  /// Makes "draw a seq, broadcast its envelope" one step, so the wire
+  /// carries this process's stream in seq order (flush_engines,
+  /// maybe_send_ack).
+  std::mutex send_mutex_;
   std::atomic<LogicalTime> last_ack_clock_{0};
   std::size_t pending_total_ = 0;  ///< single-owner path's buffered count
   LogicalTime gc_floor_ = 0;

@@ -43,21 +43,14 @@ struct StoreStats {
 
   // -- single-node saturation (pooled ThreadUcStore hot paths).
   /// Remote entries shipped straight into worker remote inboxes by the
-  /// sharded delivery path (no router lock) vs fanned out under the
-  /// router lock (the legacy StoreConfig::router_delivery arm). During
-  /// steady state on the default path, router_deliveries stays 0.
+  /// sharded delivery path (no router lock).
   std::uint64_t inbox_deliveries = 0;
-  std::uint64_t router_deliveries = 0;
   /// Producer-side multi-slot ring claims (one CAS covering >1 op) and
   /// the logical ops they carried — update_batch's per-worker groups.
   /// ring_batch_ops / ring_batch_claims is the mean ops amortized per
   /// CAS; singles (plain update()) pay one CAS each on top of these.
   std::uint64_t ring_batch_claims = 0;
   std::uint64_t ring_batch_ops = 0;
-  /// get()s answered from the immutable shared snapshot — zero state
-  /// copies (a subset split-out of published_reads; equal to it unless
-  /// a future read path copies).
-  std::uint64_t zero_copy_reads = 0;
   /// get()s that took the ring because the caller's own last write to
   /// the owning worker was not yet applied (read-your-writes fallback).
   std::uint64_t ryw_ring_fallbacks = 0;
@@ -173,25 +166,20 @@ inline void print_store_table(std::ostream& os,
      << net.restarts << " restarts\n";
 }
 
-/// One line of cluster-wide single-node-saturation counters: how remote
-/// entries were delivered (sharded inboxes vs the legacy router lock),
-/// how well ring CAS claims amortized, and how the read path split
-/// between zero-copy snapshots and read-your-writes fallbacks. Printed
-/// by print_observability whenever any of them is nonzero.
+/// One line of cluster-wide single-node-saturation counters: remote
+/// entries delivered into worker inboxes, how well ring CAS claims
+/// amortized, and the read-your-writes fallbacks of the read path.
+/// Printed by print_observability whenever any of them is nonzero.
 inline void print_saturation_line(
     std::ostream& os, const std::vector<StoreStats>& per_process) {
   StoreStats t;
   for (const StoreStats& s : per_process) {
     t.inbox_deliveries += s.inbox_deliveries;
-    t.router_deliveries += s.router_deliveries;
     t.ring_batch_claims += s.ring_batch_claims;
     t.ring_batch_ops += s.ring_batch_ops;
-    t.zero_copy_reads += s.zero_copy_reads;
     t.ryw_ring_fallbacks += s.ryw_ring_fallbacks;
   }
-  if (t.inbox_deliveries + t.router_deliveries + t.ring_batch_claims +
-          t.zero_copy_reads + t.ryw_ring_fallbacks ==
-      0) {
+  if (t.inbox_deliveries + t.ring_batch_claims + t.ryw_ring_fallbacks == 0) {
     return;
   }
   const double ops_per_claim =
@@ -200,10 +188,8 @@ inline void print_saturation_line(
           : static_cast<double>(t.ring_batch_ops) /
                 static_cast<double>(t.ring_batch_claims);
   os << "saturation: " << t.inbox_deliveries << " inbox deliveries, "
-     << t.router_deliveries << " router deliveries, "
      << t.ring_batch_claims << " batch claims (" << ops_per_claim
-     << " ops/claim), " << t.zero_copy_reads << " zero-copy reads, "
-     << t.ryw_ring_fallbacks << " ryw fallbacks\n";
+     << " ops/claim), " << t.ryw_ring_fallbacks << " ryw fallbacks\n";
 }
 
 /// One row per process of recovery activity: GC folds, the stability
@@ -290,13 +276,13 @@ inline void merge_wire_counters(StoreStats& into, const StoreStats& slice) {
 /// of the bench binaries.
 inline void print_shard_table(std::ostream& os,
                               const std::vector<ShardStats>& shards) {
-  TextTable t({"shard", "keys", "window", "views", "local", "remote",
+  TextTable t({"shard", "keys", "views", "local", "remote",
                "dup", "queries", "log entries", "gc folded", "snap out",
                "snap in", "~bytes"});
   ShardStats total;
   for (std::size_t i = 0; i < shards.size(); ++i) {
     const ShardStats& s = shards[i];
-    t.add(i, s.keys_live, s.batch_window, s.published_keys,
+    t.add(i, s.keys_live, s.published_keys,
           s.local_updates, s.remote_updates, s.duplicate_updates,
           s.queries, s.log_entries, s.gc_folded, s.snapshots_exported,
           s.snapshots_installed, s.approx_bytes);
@@ -312,7 +298,7 @@ inline void print_shard_table(std::ostream& os,
     total.snapshots_installed += s.snapshots_installed;
     total.approx_bytes += s.approx_bytes;
   }
-  t.add("total", total.keys_live, "-", total.published_keys,
+  t.add("total", total.keys_live, total.published_keys,
         total.local_updates, total.remote_updates, total.duplicate_updates,
         total.queries, total.log_entries, total.gc_folded,
         total.snapshots_exported, total.snapshots_installed,

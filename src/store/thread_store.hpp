@@ -45,8 +45,6 @@
 //     poll()/flush() take it — is off the per-op hot path entirely: it
 //     drains the duty ring (stream positions, stability acks), runs
 //     the flush/heartbeat/GC tick, and owns recovery bookkeeping.
-//     StoreConfig::router_delivery restores the old fan-out-under-the-
-//     router-lock path as a measurable comparison arm (bench E14).
 //
 // Ack honesty under concurrent stamping: a pooled batch envelope ships
 // ack_clock = 0 (one worker cannot vouch for the whole process stream),
@@ -75,6 +73,13 @@
 // are already in inboxes — and a worker drains its remote inbox before
 // every GC fold (worker_pool.hpp), so the floor that ack feeds can
 // never fold over an entry still in flight.
+//
+// Stream order on the *sending* side: every worker flushes its own
+// envelope and the router sends the heartbeat, all into one (epoch,
+// seq) stream. StoreCore draws each seq and broadcasts its envelope
+// under one lock, so the wire carries the stream in seq order and a
+// clean wire never shows a receiver a gap (which would mute the
+// stream's acks and open a repair round for nothing).
 //
 // What the pool still trades away is cross-object *causality* of
 // stamps: a client thread stamps before workers finish merging remote
@@ -326,16 +331,7 @@ class ThreadUcStore : public StoreCore<A, Net, Key> {
     if (own_writes_visible) {
       if (auto state = this->engine(engine).try_read_published(key)) {
         published_reads_.fetch_add(1, std::memory_order_relaxed);
-        typename A::QueryOut out;
-        if (this->config().router_delivery) {
-          // Comparison arm: the pre-rework read copied the state out
-          // of the seqlock before producing the answer.
-          const typename A::State copy = *state;
-          out = this->adt().output(copy, qi);
-        } else {
-          zero_copy_reads_.fetch_add(1, std::memory_order_relaxed);
-          out = this->adt().output(*state, qi);
-        }
+        typename A::QueryOut out = this->adt().output(*state, qi);
         if (this->recorder_) {
           this->recorder_->record_query(producer, key, this->clock_.now(),
                                         out);
@@ -371,10 +367,6 @@ class ThreadUcStore : public StoreCore<A, Net, Key> {
   /// drain serializes on the router lock.
   std::size_t poll() {
     if (!pool_) return Core::poll();
-    if (this->config().router_delivery) {
-      std::lock_guard lock(router_mutex_);
-      return route_inbox_locked();
-    }
     const std::size_t delivered = try_deliver_inbox();
     std::lock_guard lock(router_mutex_);
     (void)drain_duty_locked();
@@ -389,12 +381,8 @@ class ThreadUcStore : public StoreCore<A, Net, Key> {
   std::size_t flush() {
     if (!pool_) return Core::flush();
     std::lock_guard lock(router_mutex_);
-    if (this->config().router_delivery) {
-      (void)route_inbox_locked();
-    } else {
-      (void)try_deliver_inbox();
-      (void)drain_duty_locked();
-    }
+    (void)try_deliver_inbox();
+    (void)drain_duty_locked();
     // The barrier *before* the flush ops: every stamp at or below it is
     // already in a ring, so the kFlush behind it drains it onto the
     // wire, and the heartbeat broadcast *after* flush_all is behind
@@ -448,12 +436,9 @@ class ThreadUcStore : public StoreCore<A, Net, Key> {
     s.published_reads = published_reads_.load(std::memory_order_relaxed);
     s.ring_reads = ring_reads_.load(std::memory_order_relaxed);
     s.inbox_deliveries = inbox_deliveries_.load(std::memory_order_relaxed);
-    s.router_deliveries =
-        router_deliveries_.load(std::memory_order_relaxed);
     s.ring_batch_claims =
         ring_batch_claims_.load(std::memory_order_relaxed);
     s.ring_batch_ops = ring_batch_ops_.load(std::memory_order_relaxed);
-    s.zero_copy_reads = zero_copy_reads_.load(std::memory_order_relaxed);
     s.ryw_ring_fallbacks =
         ryw_ring_fallbacks_.load(std::memory_order_relaxed);
     return s;
@@ -498,11 +483,8 @@ class ThreadUcStore : public StoreCore<A, Net, Key> {
       return;
     }
     for (;;) {
-      if (this->config().router_delivery) {
-        std::lock_guard lock(router_mutex_);
-        (void)route_inbox_locked();
-      } else {
-        (void)try_deliver_inbox();
+      (void)try_deliver_inbox();
+      {
         std::lock_guard lock(router_mutex_);
         (void)drain_duty_locked();
       }
@@ -512,16 +494,11 @@ class ThreadUcStore : public StoreCore<A, Net, Key> {
       if (applied_entries() >= total_entries) return;
       auto env = this->net_->inbox(this->pid_).pop_wait();
       if (!env.has_value()) return;  // closed
-      if (this->config().router_delivery) {
-        std::lock_guard lock(router_mutex_);
-        route(env->from, env->payload);
-      } else {
-        while (deliver_lock_.test_and_set(std::memory_order_acquire)) {
-          std::this_thread::yield();
-        }
-        deliver_sharded(env->from, std::move(env->payload));
-        deliver_lock_.clear(std::memory_order_release);
+      while (deliver_lock_.test_and_set(std::memory_order_acquire)) {
+        std::this_thread::yield();
       }
+      deliver_sharded(env->from, std::move(env->payload));
+      deliver_lock_.clear(std::memory_order_release);
     }
   }
 
@@ -621,14 +598,12 @@ class ThreadUcStore : public StoreCore<A, Net, Key> {
     }
   }
 
-  /// The default delivery entry point (any thread, NO router lock):
+  /// The delivery entry point (any thread, NO router lock):
   /// try-acquires the dedicated delivery spinlock — the serialization
   /// that keeps per-sender envelope order intact on the way into worker
   /// inboxes — and drains the process inbox. A losing thread returns
-  /// immediately (someone else is delivering). With router_delivery set
-  /// this degrades to the legacy router-locked fan-out.
+  /// immediately (someone else is delivering).
   std::size_t try_deliver_inbox() {
-    if (this->config().router_delivery) return try_route_inbox();
     if (deliver_lock_.test_and_set(std::memory_order_acquire)) return 0;
     std::size_t delivered = 0;
     while (auto env = this->net_->inbox(this->pid_).try_pop()) {
@@ -709,8 +684,9 @@ class ThreadUcStore : public StoreCore<A, Net, Key> {
       header.seq = note->seq;
       header.ack_clock = note->ack_clock;
       this->note_stream(note->from, header);
-      // Same gap gate as route(): a gapped stream's piggybacked ack
-      // proves nothing about what a partition dropped.
+      // Same gap gate as the single-owner deliver() path: a gapped
+      // stream's piggybacked ack proves nothing about what a partition
+      // dropped.
       if (this->stability_ && note->ack_clock > 0 &&
           (this->config().fault.is(Fault::kFoldAcksAcrossGaps) ||
            !this->stream_gapped(note->from))) {
@@ -721,66 +697,13 @@ class ThreadUcStore : public StoreCore<A, Net, Key> {
     return drained;
   }
 
-  std::size_t try_route_inbox() {
-    std::unique_lock lock(router_mutex_, std::try_to_lock);
-    if (!lock.owns_lock()) return 0;  // someone else is routing
-    return route_inbox_locked();
-  }
-
-  /// Router: drains the process inbox, observing store-wide bookkeeping
-  /// (stream positions, stability acks) under the router lock, then
-  /// fans the keyed entries out to their owning workers.
-  std::size_t route_inbox_locked() {
-    std::size_t routed = 0;
-    while (auto env = this->net_->inbox(this->pid_).try_pop()) {
-      route(env->from, env->payload);
-      ++routed;
-    }
-    return routed;
-  }
-
-  void route(ProcessId from, const Envelope& e) {
-    this->note_stream(from, e);
-    // Router records delivery + replication lag; the owning workers
-    // record the (sampled) apply events on their own tracks.
-    if (const auto& o = this->obs_; o) {
-      if (o->tracer && !e.entries.empty()) {
-        o->tracer->instant(0, obs::TraceEventKind::kDeliver, from,
-                           e.entries.size());
-      }
-      const LogicalTime now = this->clock_.now();
-      for (const auto& entry : e.entries) {
-        const LogicalTime sc = entry.msg.stamp.clock;
-        if (o->sampled(sc)) {
-          o->replication_lag.record(now > sc ? now - sc : 0);
-        }
-      }
-    }
-    for (const auto& entry : e.entries) {
-      pool_->enqueue_remote(this->shard_index(entry.key), from, entry.key,
-                            entry.msg);
-    }
-    router_deliveries_.fetch_add(e.entries.size(),
-                                 std::memory_order_relaxed);
-    // Same gap gate as the single-owner deliver() path: a gapped
-    // stream's piggybacked ack proves nothing about what the partition
-    // dropped (the thread transport's hold-mode partitions never drop,
-    // so gaps cannot arise there today — but the gate is a soundness
-    // invariant of ack observation, not a transport property).
-    if (this->stability_ && e.ack_clock > 0 &&
-        (this->config().fault.is(Fault::kFoldAcksAcrossGaps) ||
-         !this->stream_gapped(from))) {
-      this->stability_->observe_ack(from, e.ack_clock);
-    }
-  }
-
   std::uint64_t uid_;
   std::unique_ptr<Pool> pool_;
   std::unique_ptr<ClaimSlot[]> claim_slots_;
   std::atomic<std::size_t> producers_seen_{0};
   /// Store-wide (not per-router) state below is guarded by this lock:
-  /// peers_, stability_, stats_, gc_floor_ — everything route() and the
-  /// flush tick touch outside the engines.
+  /// peers_, stability_, stats_, gc_floor_ — everything the duty drain
+  /// and the flush tick touch outside the engines.
   mutable std::mutex router_mutex_;
   /// Delivery spinlock: serializes sharded inbox drains (per-sender
   /// envelope order into worker inboxes) without ever touching the
@@ -792,8 +715,6 @@ class ThreadUcStore : public StoreCore<A, Net, Key> {
   /// ticks cannot fill it under realistic envelope rates; when it does
   /// fill, the delivery path drains it itself under a try-lock.
   MpscRing<StreamNote> duty_ring_{4096};
-  /// Per-worker envelope-slice assembly buffers; deliver-lock holder
-  /// only (reused across envelopes to avoid per-delivery allocation).
   /// Per-worker grouping scratch for deliver_sharded (delivery-lock
   /// holder only); deliver_remote clears each group with capacity
   /// intact, so steady-state delivery allocates nothing.
@@ -801,10 +722,8 @@ class ThreadUcStore : public StoreCore<A, Net, Key> {
   std::atomic<std::uint64_t> published_reads_{0};
   std::atomic<std::uint64_t> ring_reads_{0};
   std::atomic<std::uint64_t> inbox_deliveries_{0};
-  std::atomic<std::uint64_t> router_deliveries_{0};
   std::atomic<std::uint64_t> ring_batch_claims_{0};
   std::atomic<std::uint64_t> ring_batch_ops_{0};
-  std::atomic<std::uint64_t> zero_copy_reads_{0};
   std::atomic<std::uint64_t> ryw_ring_fallbacks_{0};
 };
 

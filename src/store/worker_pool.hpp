@@ -29,11 +29,11 @@
 //     whose envelopes were delivered (hence pushed to remote inboxes)
 //     before it was computed — draining the inbox first preserves
 //     "every entry at or below the floor is applied before the fold";
-//   * flush, GC-fold, and heartbeat ticks run per worker: each worker
-//     drains its own engines into one envelope (seq drawn from the
-//     router's atomic stream counter), folds its own engines to the
-//     router-computed floor, and charges a private StoreStats slice, so
-//     concurrent ticks never share a cache line, let alone a lock.
+//   * flush and GC-fold ticks run per worker: each worker drains its
+//     own engines into one envelope (seq drawn from the store's stream
+//     counter under the same lock as the send), folds its own engines
+//     to the router-computed floor, and charges a private StoreStats
+//     slice; concurrent ticks share nothing but that send lock.
 //
 // Store-wide concerns stay behind the router lock (ThreadUcStore): the
 // stability tracker is fed by envelope-header notes queued at delivery
@@ -65,7 +65,6 @@
 #include "obs/store_obs.hpp"
 #include "store/shard_engine.hpp"
 #include "store/store_stats.hpp"
-#include "util/affinity.hpp"
 #include "util/mpsc_ring.hpp"
 
 namespace ucw {
@@ -100,7 +99,6 @@ class StoreWorkerPool {
   struct Op {
     enum class Kind : std::uint8_t {
       kUpdate,
-      kRemote,
       kQuery,
       kFlush,
       kGc,
@@ -108,7 +106,6 @@ class StoreWorkerPool {
     };
     Kind kind = Kind::kStop;
     std::uint32_t engine = 0;
-    ProcessId from = 0;
     Key key{};
     UpdateMessage<A> msg{};
     LogicalTime gc_floor = 0;
@@ -277,18 +274,6 @@ class StoreWorkerPool {
     return workers_[w]->processed.load(std::memory_order_acquire);
   }
 
-  /// Any thread (in practice: whichever one holds the router lock).
-  void enqueue_remote(std::size_t engine_index, ProcessId from,
-                      const Key& key, const UpdateMessage<A>& msg) {
-    Op op;
-    op.kind = Op::Kind::kRemote;
-    op.engine = static_cast<std::uint32_t>(engine_index);
-    op.from = from;
-    op.key = key;
-    op.msg = msg;
-    push(*workers_[worker_of(engine_index)], std::move(op));
-  }
-
   /// Runs the query on the owning worker and waits for the answer —
   /// ring FIFO behind any update the calling thread already enqueued,
   /// so every client thread reads its own writes. With `promote` (a
@@ -317,8 +302,8 @@ class StoreWorkerPool {
   }
 
   /// Synchronous flush tick across every worker: each drains its own
-  /// engines into one envelope and re-sizes its adaptive windows.
-  /// Returns total entries flushed. Router-lock holder only.
+  /// engines into one envelope. Returns total entries flushed.
+  /// Router-lock holder only.
   std::size_t flush_all() {
     std::atomic<std::uint32_t> done{0};
     std::atomic<std::size_t> flushed{0};
@@ -428,29 +413,13 @@ class StoreWorkerPool {
   }
 
   void worker_main(Worker& w) {
-    if (store_.config().pin_workers) {
-      (void)pin_current_thread_to_core(static_cast<std::size_t>(w.track) - 1);
-    }
     std::size_t idle = 0;
     w.block.reserve(kDrainBlock);
     w.rblock.reserve(kDrainBlock);
-    // The comparison arm (StoreConfig::router_delivery) restores the
-    // pre-rework consumer too: one pop per loop, no block drains — so
-    // a benchmark flipping the flag measures the whole saturation
-    // rework, not just where delivery entries land.
-    const bool legacy_pops = store_.config().router_delivery;
     for (;;) {
       drain_remote(w);
       w.block.clear();
-      std::size_t got = 0;
-      if (legacy_pops) {
-        if (auto op = w.ring.try_pop()) {
-          w.block.push_back(std::move(*op));
-          got = 1;
-        }
-      } else {
-        got = w.ring.try_pop_n(w.block, kDrainBlock);
-      }
+      const std::size_t got = w.ring.try_pop_n(w.block, kDrainBlock);
       if (got == 0) {
         // Brief spin for the common back-to-back case, a yield phase so
         // an oversubscribed host (or a producer on a single core) runs,
@@ -485,11 +454,7 @@ class StoreWorkerPool {
                                  sc);
             }
             ++w.pending;
-            const bool full =
-                store_.config().adaptive_window
-                    ? e.window_filled()
-                    : w.pending >= store_.config().batch_window;
-            if (full) {
+            if (w.pending >= store_.config().batch_window) {
               (void)store_.flush_engines(w.engines, FlushCause::kWindowFull,
                                          w.stats, /*piggyback_ack=*/false,
                                          w.track);
@@ -497,16 +462,6 @@ class StoreWorkerPool {
             }
             break;
           }
-          case Op::Kind::kRemote:
-            // Legacy router-fanned delivery (StoreConfig::router_delivery).
-            (void)store_.engine(op->engine).apply_remote(op->from, op->key,
-                                                         op->msg);
-            if (const auto& o = store_.obs_;
-                o && o->tracer && o->sampled(op->msg.stamp.clock)) {
-              o->tracer->instant(w.track, obs::TraceEventKind::kApplyRemote,
-                                 op->msg.stamp.clock);
-            }
-            break;
           case Op::Kind::kQuery: {
             Engine& e = store_.engine(op->engine);
             *op->query_out = e.query(op->key, *op->query_in);

@@ -352,31 +352,69 @@ TEST(UdpStoreTest, ThreeNodesConvergeUnderLossAndReorder) {
 }
 
 TEST(UdpStoreTest, CleanWireUsesNoRepair) {
+  // No loss, in-order localhost delivery: the repair path must stay
+  // idle. Unpooled, one owner thread writes. Pooled, two client threads
+  // write at once, so both workers' batch flushes and the flush-time
+  // ack heartbeat share node 0's (epoch, seq) stream; the stream must
+  // still leave in seq order, or node 1 counts a gap that no loss
+  // caused (and mutes the stream's acks until a repair round).
   using Store = UdpUcStore<Reg>;
   constexpr std::size_t kN = 2;
-  auto nets = make_cluster(kN, std::vector<UdpTransportOptions>(kN));
-  StoreConfig cfg;
-  cfg.batch_window = 1;  // ship every update immediately
-  std::vector<std::unique_ptr<Store>> stores;
-  for (std::size_t p = 0; p < kN; ++p) {
-    stores.push_back(std::make_unique<Store>(
-        Reg{}, static_cast<ProcessId>(p), *nets[p], cfg));
+  constexpr int kRounds = 10;
+  constexpr int kOpsPerClient = 2'000;
+  constexpr int kKeys = 64;
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
+    const std::size_t clients = workers;  // unpooled: one owner thread
+    for (int round = 0; round < kRounds; ++round) {
+      SCOPED_TRACE("workers=" + std::to_string(workers) +
+                   " round=" + std::to_string(round));
+      auto nets = make_cluster(kN, std::vector<UdpTransportOptions>(kN));
+      StoreConfig cfg;
+      cfg.batch_window = 1;  // ship every update immediately
+      cfg.gc = true;         // flushes also send ack heartbeats
+      cfg.workers = workers;
+      std::vector<std::unique_ptr<Store>> stores;
+      for (std::size_t p = 0; p < kN; ++p) {
+        stores.push_back(std::make_unique<Store>(
+            Reg{}, static_cast<ProcessId>(p), *nets[p], cfg));
+      }
+      std::vector<std::thread> threads;
+      for (std::size_t c = 0; c < clients; ++c) {
+        threads.emplace_back([&, c] {
+          for (int i = 0; i < kOpsPerClient; ++i) {
+            (void)stores[0]->update(
+                "k" + std::to_string(i % kKeys),
+                Reg::write(static_cast<std::int64_t>(c) * kOpsPerClient + i));
+            if (i % 64 == 63) {
+              (void)stores[0]->flush();
+              // Paced bursts: stay well inside the peer's socket receive
+              // buffer, so the kernel never drops (this is a clean wire).
+              std::this_thread::sleep_for(std::chrono::microseconds(200));
+            }
+          }
+          (void)stores[0]->flush();
+        });
+      }
+      for (auto& t : threads) t.join();
+      const std::uint64_t total = clients * kOpsPerClient;
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (stores[1]->applied_entries() < total &&
+             std::chrono::steady_clock::now() < deadline) {
+        (void)stores[1]->poll();
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      ASSERT_EQ(stores[1]->applied_entries(), total)
+          << "datagrams sent " << nets[0]->stats().datagrams_sent
+          << ", received " << nets[1]->stats().datagrams_received;
+      for (int k = 0; k < kKeys; ++k) {
+        const std::string key = "k" + std::to_string(k);
+        EXPECT_EQ(stores[1]->state_of(key), stores[0]->state_of(key)) << key;
+      }
+      EXPECT_EQ(stores[1]->stats().stream_gaps_detected, 0u);
+      for (auto& n : nets) n->close_all();
+    }
   }
-  for (int i = 0; i < 20; ++i) {
-    (void)stores[0]->update("x", Reg::write(i));
-  }
-  (void)stores[0]->flush();
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (std::chrono::steady_clock::now() < deadline) {
-    (void)stores[1]->poll();
-    if (stores[1]->state_of("x") == 19) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(stores[1]->state_of("x"), 19);
-  // No loss, in-order localhost delivery: the repair path must be idle.
-  EXPECT_EQ(stores[1]->stats().stream_gaps_detected, 0u);
-  for (auto& n : nets) n->close_all();
 }
 
 // ------------------------------------------ crash-restart over the wire

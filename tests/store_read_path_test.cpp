@@ -205,7 +205,7 @@ TEST(ReadPathTest, NoTornReadsThroughStoreUnderTsan) {
 TEST(ReadPathTest, HotGetsAreZeroCopyAndSnapshotsAreImmutable) {
   // The acceptance check for the zero-copy read path: every hot-key
   // get() answers from the immutable shared snapshot without copying
-  // the state (zero_copy_reads moves one-for-one with the reads), and
+  // the state (published_reads moves one-for-one with the reads), and
   // the snapshot a reader holds NEVER changes — later applies publish
   // new snapshots, they don't mutate pinned ones.
   ThreadNetwork<TS::Envelope> net(1);
@@ -216,7 +216,7 @@ TEST(ReadPathTest, HotGetsAreZeroCopyAndSnapshotsAreImmutable) {
   store.update("hot", S::insert(1));
   store.update("hot", S::insert(2));
   (void)store.get("hot", S::read());  // cold get: ring read, promotes
-  EXPECT_EQ(store.stats().zero_copy_reads, 0u);
+  EXPECT_EQ(store.stats().published_reads, 0u);
 
   const auto snap = store.try_get_snapshot("hot");
   ASSERT_NE(snap, nullptr);
@@ -226,7 +226,7 @@ TEST(ReadPathTest, HotGetsAreZeroCopyAndSnapshotsAreImmutable) {
   for (std::uint64_t i = 0; i < kReads; ++i) {
     EXPECT_EQ(store.get("hot", S::read()), (std::set<int>{1, 2}));
   }
-  EXPECT_EQ(store.stats().zero_copy_reads, kReads);
+  EXPECT_EQ(store.stats().published_reads, kReads);
 
   // A new apply republishes: get() sees the new state through a NEW
   // snapshot object, while the pinned one still holds the old version
