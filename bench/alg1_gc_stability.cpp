@@ -96,8 +96,7 @@ void BM_GcSweep(benchmark::State& state) {
     replica.enable_stability(2);
     for (std::size_t i = 1; i <= log_len; ++i) {
       replica.apply(1, UpdateMessage<S>{Stamp{i, 1},
-                                        S::insert(static_cast<int>(i % 64)),
-                                        {}});
+                                        S::insert(static_cast<int>(i % 64))});
     }
     // Advance our own row past the peer's last stamp: one local update
     // (self-delivery included) makes the whole prefix stable.

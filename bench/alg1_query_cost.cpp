@@ -51,8 +51,7 @@ double transitions_per_query(ReplayPolicy policy, std::size_t log_len,
     replica.apply(stamp.pid, UpdateMessage<S>{
                                  stamp,
                                  rng.chance(0.6) ? S::insert(v)
-                                                 : S::remove(v),
-                                 {}});
+                                                 : S::remove(v)});
     benchmark::DoNotOptimize(replica.query(S::read()));
   }
   return static_cast<double>(replica.stats().transitions) /
@@ -98,8 +97,7 @@ void BM_QueryAfterAppend(benchmark::State& state) {
   for (std::size_t i = 0; i < log_len; ++i) {
     replica.apply(1, UpdateMessage<S>{
                          Stamp{i + 1, 1},
-                         S::insert(static_cast<int>(i % 64)),
-                         {}});
+                         S::insert(static_cast<int>(i % 64))});
   }
   (void)replica.query(S::read());  // warm the cache
   for (auto _ : state) {
@@ -120,13 +118,12 @@ void BM_StragglerRecovery(benchmark::State& state) {
     ReplayReplica<S> replica(S{}, 0, {policy, 64});
     for (std::size_t i = 0; i < log_len; ++i) {
       replica.apply(1, UpdateMessage<S>{Stamp{10 * (i + 1), 1},
-                                        S::insert(static_cast<int>(i % 64)),
-                                        {}});
+                                        S::insert(static_cast<int>(i % 64))});
     }
     (void)replica.query(S::read());
     state.ResumeTiming();
     replica.apply(2, UpdateMessage<S>{Stamp{10 * (log_len / 2) + 1, 2},
-                                      S::insert(4096), {}});
+                                      S::insert(4096)});
     benchmark::DoNotOptimize(replica.query(S::read()));
   }
   state.SetLabel(to_string(policy) + " straggler@mid, L=4096");

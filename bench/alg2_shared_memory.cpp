@@ -117,8 +117,7 @@ void BM_Alg1MemoryQuery(benchmark::State& state) {
         1, UpdateMessage<Mem>{
                Stamp{i, 1},
                Mem::write("r" + std::to_string(rng.uniform_int(0, 63)),
-                          static_cast<int>(i)),
-               {}});
+                          static_cast<int>(i))});
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(replica.query(Mem::read("r13")));

@@ -113,7 +113,7 @@ void BM_EncodeDeltaSnapshot(benchmark::State& state) {
     for (int i = 0; i < 4; ++i) {
       (void)engine.apply_remote(
           1, key,
-          UpdateMessage<S>{{++clock, 1}, S::insert(i), {}});
+          UpdateMessage<S>{{++clock, 1}, S::insert(i)});
     }
   }
   // Baseline marker, then re-dirty the requested fraction.
@@ -121,7 +121,7 @@ void BM_EncodeDeltaSnapshot(benchmark::State& state) {
   for (std::size_t k = 0; k < kKeys * dirty_pct / 100; ++k) {
     (void)engine.apply_remote(
         1, ZipfianKeys::key_name(k),
-        UpdateMessage<S>{{++clock, 1}, S::insert(99), {}});
+        UpdateMessage<S>{{++clock, 1}, S::insert(99)});
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine.encode_snapshot(1, since));

@@ -105,8 +105,7 @@ void BM_UcReplicaDelivery(benchmark::State& state) {
     const int v = static_cast<int>(rng.uniform_int(0, 63));
     replica.apply(
         1, UpdateMessage<S>{Stamp{++clock, 1},
-                            rng.chance(0.6) ? S::insert(v) : S::remove(v),
-                            {}});
+                            rng.chance(0.6) ? S::insert(v) : S::remove(v)});
     benchmark::DoNotOptimize(replica.query(S::read()));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));

@@ -105,7 +105,7 @@ void BM_EncodeShardSnapshot(benchmark::State& state) {
     for (int i = 0; i < 4; ++i) {
       shard.replica(key).apply(
           1, UpdateMessage<S>{{static_cast<LogicalTime>(4 * k + i + 1), 1},
-                              S::insert(i), {}});
+                              S::insert(i)});
     }
     // Fold half of each key's entries so the snapshot ships base+suffix.
     (void)shard.replica(key).fold_to(4 * k + 2);

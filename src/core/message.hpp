@@ -4,12 +4,12 @@
 // timestamp — the only network traffic the construction needs (Section
 // VII-C: "a unique message is broadcast for each update and each message
 // only contains the information to identify the update and a timestamp
-// composed of two integer values"). The optional `known` vector
-// piggybacks the sender's received-clock row for the stability tracker;
-// it is empty unless garbage collection is enabled.
+// composed of two integer values"). The message is exactly that: the
+// stability tracker's acks ride on the store's envelopes, not here, and
+// the UDP codec (net/wire.hpp) writes the two integers as varints.
 #pragma once
 
-#include <vector>
+#include <cstddef>
 
 #include "adt/concepts.hpp"
 #include "clock/timestamp.hpp"
@@ -20,7 +20,6 @@ template <UqAdt A>
 struct UpdateMessage {
   Stamp stamp;
   typename A::Update update;
-  std::vector<LogicalTime> known;  ///< sender's stability row (optional)
 };
 
 /// Approximate wire size in bytes, for the message-complexity benches:
@@ -28,8 +27,7 @@ struct UpdateMessage {
 template <UqAdt A>
 [[nodiscard]] std::size_t wire_size(const UpdateMessage<A>& m) {
   return sizeof(m.stamp.clock) + sizeof(m.stamp.pid) +
-         sizeof(typename A::Update) +
-         m.known.size() * sizeof(LogicalTime);
+         sizeof(typename A::Update);
 }
 
 }  // namespace ucw

@@ -124,7 +124,7 @@ class ReplayReplica {
     if (stability_) {
       stability_->advance_self(stamp.clock);
     }
-    return UpdateMessage<A>{stamp, std::move(u), {}};
+    return UpdateMessage<A>{stamp, std::move(u)};
   }
 
   /// Applies a locally issued update that was already stamped from the

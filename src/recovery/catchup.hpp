@@ -93,7 +93,7 @@ std::size_t install_key_snapshot(ReplayReplica<A>& rep,
                                  const KeySnapshot<A, Key>& ks) {
   (void)rep.install_base(ks.base, ks.floor);
   for (const auto& e : ks.suffix) {
-    rep.apply(e.stamp.pid, UpdateMessage<A>{e.stamp, e.update, {}});
+    rep.apply(e.stamp.pid, UpdateMessage<A>{e.stamp, e.update});
   }
   return ks.suffix.size();
 }

@@ -96,13 +96,17 @@ struct BatchEnvelope {
   std::vector<LogicalTime> ae_floors;
 };
 
-/// Fixed per-message framing cost assumed by the bytes-saved estimate:
-/// transport header, sender id, length prefix. The exact constant only
-/// scales the report; the *relative* saving comes from paying it once
-/// per envelope instead of once per update.
-inline constexpr std::size_t kFrameOverheadBytes = 24;
+/// Per-message framing cost charged by the bytes_batched /
+/// bytes_unbatched estimate below: the UDP frame header of net/wire.hpp
+/// (kFrameHeaderBytes, which a static_assert there ties to this). The
+/// estimate's *relative* saving comes from paying it once per envelope
+/// instead of once per update; bytes actually sent are counted by the
+/// transport.
+inline constexpr std::size_t kFrameOverheadBytes = 16;
 
-/// Envelope header past the frame: kind byte, epoch, seq, ack clock.
+/// Envelope header past the frame, for the same estimate only: kind
+/// byte, epoch, seq, ack clock at fixed width. The real codec writes
+/// them as varints behind a flags byte, so this is an upper bound.
 inline constexpr std::size_t kEnvelopeHeaderBytes =
     1 + sizeof(std::uint64_t) + sizeof(std::uint64_t) + sizeof(LogicalTime);
 

@@ -245,7 +245,7 @@ class StoreCore {
     }
     if (recorder_) recorder_->record_update(0, key, stamp, u);
     Engine& eng = engine_of(key);
-    eng.local_update(key, UpdateMessage<A>{stamp, std::move(u), {}});
+    eng.local_update(key, UpdateMessage<A>{stamp, std::move(u)});
     ++pending_total_;
     if (pending_total_ >= config_.batch_window) {
       flush_now(FlushCause::kWindowFull);

@@ -198,7 +198,7 @@ class ThreadUcStore : public StoreCore<A, Net, Key> {
     }
     const std::size_t engine = this->shard_index(key);
     const std::uint64_t ticket = pool_->enqueue_update(
-        engine, key, UpdateMessage<A>{stamp, std::move(u), {}});
+        engine, key, UpdateMessage<A>{stamp, std::move(u)});
     slot.claim.store(kIdle, std::memory_order_release);
     // The returned stamp doubles as this thread's session token: the
     // ticket recorded here is what get() checks to honor read-your-
@@ -263,7 +263,7 @@ class ThreadUcStore : public StoreCore<A, Net, Key> {
       const std::size_t engine = this->shard_index(ops[i].first);
       groups[pool_->worker_of(engine)].push_back(
           {static_cast<std::uint32_t>(engine), std::move(ops[i].first),
-           UpdateMessage<A>{stamp, std::move(ops[i].second), {}}});
+           UpdateMessage<A>{stamp, std::move(ops[i].second)}});
     }
     for (std::size_t w = 0; w < nw; ++w) {
       if (groups[w].empty()) continue;

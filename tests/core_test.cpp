@@ -115,7 +115,7 @@ TEST(ReplayReplica, PoliciesProduceIdenticalStatesUnderLateMessages) {
                              static_cast<ProcessId>(rng.uniform_int(1, 3))};
     const int v = static_cast<int>(rng.uniform_int(0, 5));
     const auto u = rng.chance(0.5) ? S::insert(v) : S::remove(v);
-    messages.push_back(UpdateMessage<S>{stamp, u, {}});
+    messages.push_back(UpdateMessage<S>{stamp, u});
   }
   for (const auto& m : messages) {
     a.apply(m.stamp.pid, m);
@@ -154,12 +154,12 @@ TEST(ReplayReplica, SnapshotRestoreBoundsLateCost) {
   // 20 in-order updates from a remote peer, then query to build cache.
   for (int i = 1; i <= 20; ++i) {
     r.apply(1, UpdateMessage<S>{Stamp{static_cast<LogicalTime>(10 * i), 1},
-                                S::insert(i), {}});
+                                S::insert(i)});
   }
   (void)r.query(S::read());
   const auto before = r.stats().transitions;
   // A straggler lands near the tail (between 18th and 19th update).
-  r.apply(2, UpdateMessage<S>{Stamp{185, 2}, S::insert(99), {}});
+  r.apply(2, UpdateMessage<S>{Stamp{185, 2}, S::insert(99)});
   (void)r.query(S::read());
   const auto replayed = r.stats().transitions - before;
   // Snapshot every 4: restore at applied=16, replay ≤ 5 + the straggler.
@@ -171,7 +171,7 @@ TEST(ReplayReplica, SnapshotRestoreBoundsLateCost) {
 
 TEST(ReplayReplica, DuplicateStampsIgnored) {
   ReplayReplica<S> r(S{}, 0);
-  UpdateMessage<S> m{Stamp{5, 1}, S::insert(1), {}};
+  UpdateMessage<S> m{Stamp{5, 1}, S::insert(1)};
   r.apply(1, m);
   r.apply(1, m);
   EXPECT_EQ(r.stats().duplicate_updates, 1u);

@@ -1,19 +1,24 @@
 // Wire codec properties: every envelope kind a store sends round-trips
-// exactly, the retired kinds are rejected, and the decoder survives
-// hostile bytes.
+// exactly, the retired kinds are rejected, each envelope has exactly
+// one encoding, and the decoder survives hostile bytes.
 //
 // The round-trip half builds one representative envelope per sent
-// EnvelopeKind (populated fields, not defaults), encodes, decodes, and
-// compares field by field. The fuzz half mutates well-formed frames —
-// truncation, bit flips, bad magic/version/length/checksum — and
+// EnvelopeKind (populated fields, not defaults) plus the integer
+// extremes, encodes, decodes, and compares field by field. The
+// rejection half hand-writes malformed v2 bytes (overlong and
+// non-minimal varints, out-of-field values, clock overflow, bad flags)
+// and checks the error each one names. The fuzz half mutates well-formed
+// frames — truncation, bit flips, bad magic/version/checksum — and
 // asserts the asymmetric contract: decode returns an error, never
-// crashes (run under ASan/UBSan in CI), and never accepts a frame
-// whose CRC-protected bytes changed. Failing seeds print via
-// test_seeds.hpp and replay with UCW_SEED=<n>.
+// crashes (run under ASan/UBSan in CI), never accepts a frame whose
+// CRC-protected bytes changed, and whatever it accepts re-encodes to
+// the same bytes. Failing seeds print via test_seeds.hpp and replay
+// with UCW_SEED=<n>.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -52,7 +57,6 @@ void expect_same_entries(const Env& a, const Env& b) {
     EXPECT_EQ(a.entries[i].msg.stamp.clock, b.entries[i].msg.stamp.clock);
     EXPECT_EQ(a.entries[i].msg.stamp.pid, b.entries[i].msg.stamp.pid);
     EXPECT_EQ(a.entries[i].msg.update.value, b.entries[i].msg.update.value);
-    EXPECT_EQ(a.entries[i].msg.known, b.entries[i].msg.known);
   }
 }
 
@@ -70,6 +74,7 @@ void expect_same_header(const Env& a, const Env& b) {
 // ------------------------------------------------- per-kind round trips
 
 TEST(WireCodecTest, BatchRoundTrip) {
+  // Mixed pids (i % 3): the per-entry pid path.
   Env e;
   e.kind = EnvelopeKind::kBatch;
   e.epoch = 3;
@@ -81,8 +86,6 @@ TEST(WireCodecTest, BatchRoundTrip) {
     ku.msg.stamp = Stamp{static_cast<LogicalTime>(100 + i),
                          static_cast<ProcessId>(i % 3)};
     ku.msg.update = Reg::write(1000000 + i);
-    ku.msg.known = {static_cast<LogicalTime>(90 + i),
-                    static_cast<LogicalTime>(95 + i), 0};
     e.entries.push_back(std::move(ku));
   }
   const Env d = decode_ok(encode(e));
@@ -101,6 +104,70 @@ TEST(WireCodecTest, HeartbeatRoundTrip) {
   const Env d = decode_ok(encode(e));
   expect_same_header(e, d);
   EXPECT_TRUE(d.entries.empty());
+}
+
+TEST(WireCodecTest, DefaultEnvelopeIsSixBytes) {
+  // kind, flags (no optional part), epoch, seq, ack clock, entry count.
+  const std::vector<std::uint8_t> bytes = encode(Env{});
+  EXPECT_EQ(bytes, (std::vector<std::uint8_t>{0, 0, 0, 0, 0, 0}));
+  expect_same_header(Env{}, decode_ok(bytes));
+}
+
+TEST(WireCodecTest, ExtremesRoundTrip) {
+  // Clocks 0 and UINT64_MAX in one group (a 10-byte delta), the value
+  // extremes through zigzag, an empty key, and the widest pid.
+  constexpr auto kMaxClock = std::numeric_limits<LogicalTime>::max();
+  Env e;
+  e.epoch = std::numeric_limits<std::uint64_t>::max();
+  e.seq = std::numeric_limits<std::uint64_t>::max();
+  e.ack_clock = kMaxClock;
+  const std::int64_t values[] = {std::numeric_limits<std::int64_t>::min(),
+                                 std::numeric_limits<std::int64_t>::max(),
+                                 0, -1};
+  const LogicalTime clocks[] = {kMaxClock, 0, kMaxClock - 1, 1};
+  const ProcessId pids[] = {std::numeric_limits<ProcessId>::max(), 0, 1, 0};
+  for (int i = 0; i < 4; ++i) {
+    KeyedUpdate<Reg, std::string> ku;
+    ku.key = i == 0 ? "" : std::string(300, static_cast<char>('a' + i));
+    ku.msg.stamp = Stamp{clocks[i], pids[i]};
+    ku.msg.update = Reg::write(values[i]);
+    e.entries.push_back(std::move(ku));
+  }
+  e.ae_floors = {kMaxClock, 0};
+  e.sync_markers_epoch = 1;  // empty markers, nonzero epoch: flagged
+  const Env d = decode_ok(encode(e));
+  expect_same_header(e, d);
+  expect_same_entries(e, d);
+
+  // The same with one shared pid at its widest.
+  for (auto& ku : e.entries) ku.msg.stamp.pid = pids[0];
+  const Env shared = decode_ok(encode(e));
+  expect_same_entries(e, shared);
+}
+
+TEST(WireCodecTest, SharedPidBatchPaysOnlyForInformation) {
+  // A hot_udp-like batch: one sender, close clocks, short keys, values
+  // counter * 8 + writer. Header: kind 1, flags 1, epoch 1, seq 300 (2),
+  // ack 5000 (2), count 1, pid 1, base 4990 (2) = 11 B. Each entry:
+  // key "k1000".. (1 + 5), clock delta 1, value 800002 zigzagged (3) =
+  // 10 B.
+  Env e;
+  e.epoch = 1;
+  e.seq = 300;
+  e.ack_clock = 5000;
+  for (int i = 0; i < 7; ++i) {
+    KeyedUpdate<Reg, std::string> ku;
+    ku.key = "k" + std::to_string(1000 + i);
+    ku.msg.stamp = Stamp{static_cast<LogicalTime>(4996 - i), 2};
+    ku.msg.update = Reg::write(8 * 100000 + 2);
+    e.entries.push_back(std::move(ku));
+  }
+  const std::vector<std::uint8_t> bytes = encode(e);
+  EXPECT_EQ(bytes.size(), 11u + 7u * 10u);
+  expect_same_entries(e, decode_ok(bytes));
+  // A second writer in the batch costs one pid byte per entry.
+  e.entries[3].msg.stamp.pid = 1;
+  EXPECT_EQ(encode(e).size(), 10u + 7u * 11u);
 }
 
 Env snapshot_envelope(EnvelopeKind kind) {
@@ -231,29 +298,148 @@ TEST(WireCodecTest, RejectsRetiredSyncKinds) {
   }
 }
 
-TEST(WireCodecTest, RejectsOverclaimedEntryCount) {
-  // kind + epoch/seq/ack + a count claiming 2^31 entries, then nothing.
-  std::vector<std::uint8_t> bytes;
-  w::Writer wr(&bytes);
-  wr.u8(0);
-  wr.u64(1);
-  wr.u64(1);
-  wr.u64(0);
-  wr.u32(0x80000000u);
+/// Decodes `bytes`, expecting a rejection that names `why`.
+void expect_rejected(const std::vector<std::uint8_t>& bytes,
+                     const char* why) {
   Env out;
   const char* err = nullptr;
   EXPECT_FALSE(w::decode_envelope(bytes.data(), bytes.size(), &out, &err));
-  EXPECT_STREQ(err, "entry count exceeds payload");
+  EXPECT_STREQ(err, why);
+}
+
+/// A kBatch header up to (and including) the entry count: kind,
+/// `flags`, epoch 1, seq 1, ack 0, `n_entries`.
+std::vector<std::uint8_t> batch_header(std::uint8_t flags,
+                                       std::uint64_t n_entries) {
+  std::vector<std::uint8_t> bytes;
+  w::Writer wr(&bytes);
+  wr.u8(0);
+  wr.u8(flags);
+  wr.varint(1);
+  wr.varint(1);
+  wr.varint(0);
+  wr.varint(n_entries);
+  return bytes;
+}
+
+constexpr std::uint8_t kSharedPid = w::detail::kSharedPid;
+
+TEST(WireCodecTest, RejectsOverclaimedEntryCount) {
+  // A count claiming 2^31 entries, then nothing: refused before any
+  // allocation, at one byte per varint.
+  expect_rejected(batch_header(0, 0x80000000u), "entry count exceeds payload");
 }
 
 TEST(WireCodecTest, RejectsEveryTruncation) {
-  const Env e = snapshot_envelope(EnvelopeKind::kAntiEntropyDelta);
-  const std::vector<std::uint8_t> bytes = encode(e);
-  Env out;
-  for (std::size_t n = 0; n < bytes.size(); ++n) {
-    EXPECT_FALSE(w::decode_envelope(bytes.data(), n, &out))
-        << "accepted a " << n << "-byte prefix of " << bytes.size();
+  Env batch = snapshot_envelope(EnvelopeKind::kAntiEntropyDelta);
+  batch.kind = EnvelopeKind::kBatch;
+  batch.ack_clock = 900;
+  batch.sync_markers = {7};
+  batch.ae_floors = {3, 4};
+  for (int i = 0; i < 3; ++i) {
+    batch.entries.push_back(
+        {"e" + std::to_string(i),
+         UpdateMessage<Reg>{Stamp{static_cast<LogicalTime>(500 - i), 1},
+                            Reg::write(-300 * i)}});
   }
+  for (const Env& e : {snapshot_envelope(EnvelopeKind::kAntiEntropyDelta),
+                       batch}) {
+    const std::vector<std::uint8_t> bytes = encode(e);
+    Env out;
+    for (std::size_t n = 0; n < bytes.size(); ++n) {
+      EXPECT_FALSE(w::decode_envelope(bytes.data(), n, &out))
+          << "accepted a " << n << "-byte prefix of " << bytes.size();
+    }
+  }
+}
+
+TEST(WireCodecTest, RejectsOverlongVarint) {
+  // Eleven bytes: ten continuation bytes, then a terminator.
+  std::vector<std::uint8_t> bytes(2 + 10, 0x80);
+  bytes[0] = bytes[1] = 0;  // kind, flags
+  bytes.push_back(0x00);
+  expect_rejected(bytes, "overlong varint");
+}
+
+TEST(WireCodecTest, RejectsVarintPast64Bits) {
+  // Ten bytes whose last holds more than bit 63.
+  std::vector<std::uint8_t> bytes(2 + 9, 0xFF);
+  bytes[0] = bytes[1] = 0;  // kind, flags
+  bytes.push_back(0x02);
+  expect_rejected(bytes, "varint exceeds 64 bits");
+  // Bit 63 alone is UINT64_MAX's last byte, and fine.
+  bytes.back() = 0x01;
+  bytes.resize(bytes.size() + 3, 0);  // seq, ack, entry count
+  EXPECT_EQ(decode_ok(bytes).epoch, std::numeric_limits<std::uint64_t>::max());
+}
+
+TEST(WireCodecTest, RejectsNonMinimalVarint) {
+  // Epoch 0 written as two bytes (0x80 0x00): the same value as 0x00,
+  // so the envelope would have two encodings.
+  expect_rejected({0, 0, 0x80, 0x00, 0, 0, 0}, "non-minimal varint");
+  expect_rejected({0, 0, 0x81, 0x80, 0x00, 0, 0, 0}, "non-minimal varint");
+}
+
+TEST(WireCodecTest, RejectsPidPastItsField) {
+  // One entry behind a shared pid of 2^32: ProcessId is 32 bits.
+  std::vector<std::uint8_t> bytes = batch_header(kSharedPid, 1);
+  w::Writer wr(&bytes);
+  wr.varint(std::uint64_t{1} << 32);  // pid
+  wr.varint(5);                       // base clock
+  wr.varint(0);                       // key ""
+  wr.varint(0);                       // clock delta
+  wr.zigzag(0);                       // value
+  expect_rejected(bytes, "varint exceeds its field");
+}
+
+TEST(WireCodecTest, RejectsClockPastUint64Max) {
+  std::vector<std::uint8_t> bytes = batch_header(kSharedPid, 1);
+  w::Writer wr(&bytes);
+  wr.varint(0);                                        // pid
+  wr.varint(std::numeric_limits<LogicalTime>::max());  // base clock
+  wr.varint(0);                                        // key ""
+  wr.varint(1);                                        // delta past max
+  wr.zigzag(0);
+  expect_rejected(bytes, "clock delta overflows");
+}
+
+TEST(WireCodecTest, RejectsUnknownFlagBit) {
+  for (int bit = 5; bit < 8; ++bit) {
+    expect_rejected({0, static_cast<std::uint8_t>(1u << bit), 0, 0, 0, 0},
+                    "unknown flag bits");
+  }
+}
+
+TEST(WireCodecTest, RejectsNonCanonicalEncodings) {
+  // Shared pid with no entry to share it.
+  expect_rejected({0, kSharedPid, 0, 0, 0, 0},
+                  "shared pid flag without entries");
+  // Flagged sections that are empty.
+  expect_rejected({0, w::detail::kHasSyncMarkers, 0, 0, 0, 0, 0, 0},
+                  "empty sync markers section");
+  expect_rejected({0, w::detail::kHasAeFloors, 0, 0, 0, 0, 0},
+                  "empty ae floors section");
+  // A base clock below every entry's clock (the base is the minimum).
+  std::vector<std::uint8_t> bytes = batch_header(kSharedPid, 2);
+  w::Writer wr(&bytes);
+  wr.varint(3);  // pid
+  wr.varint(10);
+  for (int i = 1; i <= 2; ++i) {
+    wr.varint(0);  // key ""
+    wr.varint(static_cast<std::uint64_t>(i));
+    wr.zigzag(i);
+  }
+  expect_rejected(bytes, "clock base is not the minimum");
+  // Per-entry pids that are all the same pid.
+  bytes = batch_header(0, 2);
+  wr.varint(10);
+  for (int i = 0; i < 2; ++i) {
+    wr.varint(0);
+    wr.varint(static_cast<std::uint64_t>(i));
+    wr.varint(3);  // pid
+    wr.zigzag(i);
+  }
+  expect_rejected(bytes, "per-entry pids that could be shared");
 }
 
 // ------------------------------------------------------------- framing
@@ -330,19 +516,25 @@ TEST(WireFrameTest, RejectsBadMagicVersionLengthChecksum) {
   EXPECT_STREQ(err, "bad magic");
 
   mutated = good;
-  mutated[4] = 0x7F;  // version
+  mutated[1] = 0x7F;  // version
   EXPECT_FALSE(w::decode_frame(mutated.data(), mutated.size(), &h, &body,
                                &err));
   EXPECT_STREQ(err, "unsupported version");
 
   mutated = good;
-  mutated[16] = 0xFF;  // payload_len no longer matches datagram size
+  mutated.resize(w::kFrameHeaderBytes - 1);  // no room for the header
   EXPECT_FALSE(w::decode_frame(mutated.data(), mutated.size(), &h, &body,
                                &err));
-  EXPECT_STREQ(err, "length mismatch");
+  EXPECT_STREQ(err, "short frame");
 
   mutated = good;
-  mutated[20] ^= 0x01;  // crc
+  mutated.pop_back();  // the payload length is the datagram's: crc fails
+  EXPECT_FALSE(w::decode_frame(mutated.data(), mutated.size(), &h, &body,
+                               &err));
+  EXPECT_STREQ(err, "bad checksum");
+
+  mutated = good;
+  mutated[w::kFrameCrcOffset] ^= 0x01;  // crc
   EXPECT_FALSE(w::decode_frame(mutated.data(), mutated.size(), &h, &body,
                                &err));
   EXPECT_STREQ(err, "bad checksum");
@@ -373,11 +565,6 @@ Env random_envelope(Rng& rng) {
     ku.msg.stamp = Stamp{static_cast<LogicalTime>(rng.uniform_int(0, 1000)),
                          static_cast<ProcessId>(rng.uniform_int(0, 7))};
     ku.msg.update = Reg::write(rng.uniform_int(-1000000, 1000000));
-    const int n_known = static_cast<int>(rng.uniform_int(0, 4));
-    for (int j = 0; j < n_known; ++j) {
-      ku.msg.known.push_back(
-          static_cast<LogicalTime>(rng.uniform_int(0, 1000)));
-    }
     e.entries.push_back(std::move(ku));
   }
   if (rng.chance(0.3)) {
@@ -464,10 +651,10 @@ TEST(WireFuzzTest, MutatedFramesNeverCrashNeverSilentlyAccept) {
           const std::uint32_t crc = w::crc32(
               frame.data() + w::kFrameHeaderBytes,
               frame.size() - w::kFrameHeaderBytes);
-          frame[20] = static_cast<std::uint8_t>(crc);
-          frame[21] = static_cast<std::uint8_t>(crc >> 8);
-          frame[22] = static_cast<std::uint8_t>(crc >> 16);
-          frame[23] = static_cast<std::uint8_t>(crc >> 24);
+          for (std::size_t b = 0; b < 4; ++b) {
+            frame[w::kFrameCrcOffset + b] =
+                static_cast<std::uint8_t>(crc >> (8 * b));
+          }
           crc_repaired = true;
         }
       } else {
@@ -495,8 +682,9 @@ TEST(WireFuzzTest, MutatedFramesNeverCrashNeverSilentlyAccept) {
             << round << ")";
       }
       // Hostile-but-checksummed payload: decode must not crash. Either
-      // verdict is fine; a success must at least yield a kind a store
-      // sends (never a retired one).
+      // verdict is fine; a success must yield a kind a store sends
+      // (never a retired one) and, since each envelope has exactly one
+      // encoding, re-encode to the very bytes it came from.
       Env out;
       const char* err = nullptr;
       if (w::decode_envelope(body, h.payload_len, &out, &err)) {
@@ -504,6 +692,9 @@ TEST(WireFuzzTest, MutatedFramesNeverCrashNeverSilentlyAccept) {
                   static_cast<std::uint8_t>(EnvelopeKind::kAntiEntropyDelta));
         EXPECT_NE(out.kind, EnvelopeKind::kSyncRequest);
         EXPECT_NE(out.kind, EnvelopeKind::kShardSnapshot);
+        ASSERT_EQ(encode(out), std::vector<std::uint8_t>(
+                                   body, body + h.payload_len))
+            << "accepted a second encoding (round " << round << ")";
       }
     }
   }
@@ -518,7 +709,9 @@ TEST(WireFuzzTest, RandomEnvelopesAlwaysRoundTrip) {
     Rng rng(seed);
     for (int round = 0; round < 500; ++round) {
       const Env e = random_envelope(rng);
-      const Env d = decode_ok(encode(e));
+      const std::vector<std::uint8_t> bytes = encode(e);
+      const Env d = decode_ok(bytes);
+      EXPECT_EQ(encode(d), bytes);
       expect_same_header(e, d);
       expect_same_entries(e, d);
       EXPECT_EQ(e.snapshot != nullptr, d.snapshot != nullptr);

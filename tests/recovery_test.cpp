@@ -107,13 +107,13 @@ TEST(ReplicaTest, AbsorbBelowFloorTurnsStragglersIntoDuplicates) {
   ReplayReplica<S>::Config cfg;
   cfg.absorb_below_floor = true;
   ReplayReplica<S> rep(S{}, 0, cfg);
-  rep.apply(1, UpdateMessage<S>{{2, 1}, S::insert(2), {}});
+  rep.apply(1, UpdateMessage<S>{{2, 1}, S::insert(2)});
   ASSERT_TRUE(rep.install_base(std::set<int>{1, 2}, 4));
   // Redelivery of a folded entry: absorbed, not a contract violation.
-  rep.apply(1, UpdateMessage<S>{{2, 1}, S::insert(2), {}});
+  rep.apply(1, UpdateMessage<S>{{2, 1}, S::insert(2)});
   EXPECT_EQ(rep.stats().absorbed_below_floor, 1u);
   EXPECT_EQ(rep.current_state(), (std::set<int>{1, 2}));
-  rep.apply(1, UpdateMessage<S>{{6, 1}, S::insert(6), {}});
+  rep.apply(1, UpdateMessage<S>{{6, 1}, S::insert(6)});
   EXPECT_EQ(rep.current_state(), (std::set<int>{1, 2, 6}));
 }
 
@@ -126,9 +126,9 @@ TEST(SnapshotCodecTest, RoundTripCompactedStatePlusSuffix) {
   // Two keys, interleaved stamps; fold the prefix <= 4 on both.
   for (int c = 1; c <= 8; ++c) {
     donor.replica("a").apply(1, UpdateMessage<S>{
-        {static_cast<LogicalTime>(c), 1}, S::insert(c), {}});
+        {static_cast<LogicalTime>(c), 1}, S::insert(c)});
     donor.replica("b").apply(2, UpdateMessage<S>{
-        {static_cast<LogicalTime>(c), 2}, S::insert(100 + c), {}});
+        {static_cast<LogicalTime>(c), 2}, S::insert(100 + c)});
   }
   donor.for_each([](const std::string&, ReplayReplica<S>& r) {
     (void)r.fold_to(4);
@@ -144,13 +144,13 @@ TEST(SnapshotCodecTest, RoundTripCompactedStatePlusSuffix) {
   // Install into a joiner that raced ahead on one key, then replay the
   // donor's full history as stale redelivery: identical states.
   StoreShard<S> joiner(S{}, 3, rep_cfg);
-  joiner.replica("a").apply(1, UpdateMessage<S>{{7, 1}, S::insert(7), {}});
+  joiner.replica("a").apply(1, UpdateMessage<S>{{7, 1}, S::insert(7)});
   for (const auto& ks : snap.keys) {
     (void)install_key_snapshot(joiner.replica(ks.key), ks);
   }
   for (int c = 1; c <= 8; ++c) {
     joiner.replica("a").apply(1, UpdateMessage<S>{
-        {static_cast<LogicalTime>(c), 1}, S::insert(c), {}});
+        {static_cast<LogicalTime>(c), 1}, S::insert(c)});
   }
   EXPECT_EQ(joiner.replica("a").current_state(),
             donor.replica("a").current_state());
@@ -457,7 +457,7 @@ TEST(CatchupTest, GcFreeJoinerAbsorbsBelowFloorAfterCompactedSnapshot) {
   const auto before = stores[2]->state_of("k0");
   Env stale;
   stale.entries.push_back(
-      {"k0", UpdateMessage<S>{{1, 0}, S::insert(0), {}}});
+      {"k0", UpdateMessage<S>{{1, 0}, S::insert(0)}});
   net.send(0, 2, stale);
   sched.run();
   EXPECT_EQ(stores[2]->state_of("k0"), before);

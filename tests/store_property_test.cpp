@@ -60,7 +60,7 @@ std::vector<Entry> make_stream(Rng& rng, std::size_t n_processes,
     clocks[p] += static_cast<LogicalTime>(rng.uniform_int(1, 3));
     stream.push_back(Entry{
         keyspace.sample(rng),
-        UpdateMessage<S>{Stamp{clocks[p], p}, random_set_update(rng, w), {}}});
+        UpdateMessage<S>{Stamp{clocks[p], p}, random_set_update(rng, w)}});
   }
   return stream;
 }

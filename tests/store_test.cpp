@@ -29,10 +29,10 @@ TEST(StoreShardTest, LazyInstantiation) {
   StoreShard<S> shard(S{}, 0, {});
   EXPECT_EQ(shard.keys_live(), 0u);
   EXPECT_EQ(shard.find("a"), nullptr);
-  shard.replica("a");
+  const auto& a = shard.replica("a");
   EXPECT_EQ(shard.keys_live(), 1u);
-  EXPECT_NE(shard.find("a"), nullptr);
-  shard.replica("a");  // idempotent
+  EXPECT_EQ(shard.find("a"), &a);
+  EXPECT_EQ(&shard.replica("a"), &a);  // idempotent
   EXPECT_EQ(shard.keys_live(), 1u);
 }
 
@@ -321,9 +321,9 @@ TEST(ZipfianKeysTest, SkewConcentratesOnHotKeys) {
 
 TEST(EnvelopeTest, WireSizeAccountsFrameOncePerEnvelope) {
   BatchEnvelope<S> e;
-  e.entries.push_back({"alpha", UpdateMessage<S>{{1, 0}, S::insert(1), {}}});
-  e.entries.push_back({"beta", UpdateMessage<S>{{2, 0}, S::insert(2), {}}});
-  e.entries.push_back({"gamma", UpdateMessage<S>{{3, 0}, S::insert(3), {}}});
+  e.entries.push_back({"alpha", UpdateMessage<S>{{1, 0}, S::insert(1)}});
+  e.entries.push_back({"beta", UpdateMessage<S>{{2, 0}, S::insert(2)}});
+  e.entries.push_back({"gamma", UpdateMessage<S>{{3, 0}, S::insert(3)}});
   const auto batched = static_cast<std::int64_t>(wire_size(e));
   const auto unbatched = static_cast<std::int64_t>(unbatched_wire_size(e));
   EXPECT_LT(batched, unbatched);

@@ -84,7 +84,7 @@ TEST(ThreadUcObject, StragglersReorderedByStampNotArrival) {
   a.update(S::insert(1));  // stamp (1,0)
   a.update(S::remove(2));  // stamp (2,0)
   // Peer's I(2) stamped (1,1): between (1,0) and (2,0).
-  net.inbox(0).push({1, UpdateMessage<S>{Stamp{1, 1}, S::insert(2), {}}});
+  net.inbox(0).push({1, UpdateMessage<S>{Stamp{1, 1}, S::insert(2)}});
   // Arbitration: I(1) · I(2) · D(2) = {1}.
   EXPECT_EQ(a.query(S::read()), IntSet{1});
 }
